@@ -130,7 +130,10 @@ class SlowlyVarying:
     def from_callable(cls, fn: Callable[[float], float]) -> "SlowlyVarying":
         return cls(kind="custom", fn=fn)
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x):
+        """``L(x)`` for a scalar, or elementwise for an array."""
+        if isinstance(x, np.ndarray) and x.ndim:
+            return self._array(x.astype(float, copy=False))
         x = max(float(x), 1.0)
         if self.kind == "constant":
             return self.value
@@ -142,6 +145,14 @@ class SlowlyVarying:
         if not (out > 0):
             raise ValueError(f"slowly varying function returned non-positive value {out}")
         return out
+
+    def _array(self, x: np.ndarray) -> np.ndarray:
+        x = np.maximum(x, 1.0)
+        if self.kind == "constant":
+            return np.full(x.shape, self.value)
+        if self.kind == "log_power":
+            return (1.0 + np.log(x)) ** self.kappa
+        return np.array([self(v) for v in x.ravel()]).reshape(x.shape)
 
 
 class MomentEnvelope:

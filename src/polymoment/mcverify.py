@@ -38,13 +38,10 @@ from .envelope import MomentEnvelope, Scaled
 from .polymodel import (
     CoefficientTensor,
     PolynomialModel,
-    _power_center_cells,
-    _q_from_cells,
-    _sample_batch_cells,
+    Sampler,
     _stream,
     batch_plan,
     enumerate_indices,
-    enumeration_states,
     model_from_config,
     model_to_config,
     natural_envelope,
@@ -139,6 +136,10 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.replications < 1000:
             raise ValueError("at least 10^3 replications are required")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
         if self.window is not None:
             object.__setattr__(self, "window", (int(self.window[0]), int(self.window[1])))
         grid = np.asarray(self.p_grid, dtype=float)
@@ -285,41 +286,32 @@ def _sweep_tensors(model: PolynomialModel, count: int, seed: int):
     return labels, tensors, tuples, matrix
 
 
-def _batch_statistics(plan: ExperimentPlan, b: int, size: int, sweep) -> Dict:
+def _batch_statistics(plan: ExperimentPlan, sampler: Sampler, b: int, size: int, sweep) -> Dict:
     """Sufficient statistics (sums of |Q|^p, tail exceedance counts) for one batch."""
-    model = plan.model
-    cells = _sample_batch_cells(model, plan.seed, b, size, window=plan.window)
-    cells = _power_center_cells(model, cells)
-    running_max = plan.experiment == "doob"
-    if plan.window is None:
-        i_lo = 1
-        tensor = model.coefficients
-    else:
-        i_lo = plan.window[0]
-        tensor = model.coefficients.restrict(plan.window[0], plan.window[1])
-    q = _q_from_cells(cells, tensor, i_lo, running_max=running_max)
+    factors = sampler.factors(sampler.cells(plan.seed, b, size))
+    q = sampler.q(factors, running_max=plan.experiment == "doob")
     aq = np.abs(q)
     powers = np.array([np.sum(aq ** p) for p in plan.p_grid])
     tails = np.array([np.count_nonzero(aq >= x) for x in plan.x_grid], dtype=float)
     out = {"powers": powers, "tails": tails, "count": size}
     if sweep is not None:
         _, _, tuples, matrix = sweep
-        prods = tuple_products(cells, tuples)
+        prods = tuple_products(factors, tuples)
         qs = np.abs(matrix @ prods)  # (tensors, size)
         out["sweep"] = np.stack([np.sum(qs ** p, axis=1) for p in plan.p_grid], axis=1)
     return out
 
 
-def _gather_batches(plan: ExperimentPlan, sweep) -> List[Dict]:
+def _gather_batches(plan: ExperimentPlan, sampler: Sampler, sweep) -> List[Dict]:
     sizes = batch_plan(plan.replications)
     if plan.threads > 1:
         with ThreadPoolExecutor(max_workers=plan.threads) as pool:
             futures = [
-                pool.submit(_batch_statistics, plan, b, size, sweep)
+                pool.submit(_batch_statistics, plan, sampler, b, size, sweep)
                 for b, size in enumerate(sizes)
             ]
             return [f.result() for f in futures]
-    return [_batch_statistics(plan, b, size, sweep) for b, size in enumerate(sizes)]
+    return [_batch_statistics(plan, sampler, b, size, sweep) for b, size in enumerate(sizes)]
 
 
 def _moment_rows(plan: ExperimentPlan, stats: List[Dict], bound_env) -> List[MomentRow]:
@@ -369,7 +361,8 @@ def _run(plan: ExperimentPlan) -> VerificationReport:
     t0 = time.perf_counter()
     bound_env = plan.bound_envelope
     sweep = _sweep_tensors(plan.model, plan.b_sweep, plan.seed) if plan.b_sweep else None
-    stats = _gather_batches(plan, sweep)
+    sampler = Sampler(plan.model, plan.window)
+    stats = _gather_batches(plan, sampler, sweep)
     rows = _moment_rows(plan, stats, bound_env)
     tail_rows, tail_meta = _tail_section(plan, stats, bound_env)
 
@@ -428,9 +421,9 @@ def doob_experiment(plan: ExperimentPlan) -> VerificationReport:
 
 def brute_force_moments(model: PolynomialModel, p_list: Sequence[float]) -> np.ndarray:
     """Exact E|Q|^p by full enumeration of a finitely supported model."""
-    cells, probs = enumeration_states(model)
-    q = _q_from_cells(cells, model.coefficients, 1)
-    aq = np.abs(q)
+    sampler = Sampler(model)
+    factors, probs = sampler.enumerate()
+    aq = np.abs(sampler.q(factors))
     return np.array([float(np.sum(probs * aq ** float(p))) for p in p_list])
 
 
@@ -468,12 +461,11 @@ def convergence_diagnostics(
     stderrs: List[float] = []
     done = 0
     global_batch = 0
+    sampler = Sampler(model)
     for target in schedule:
         need = target - done
         for size in batch_plan(need):
-            cells = _sample_batch_cells(model, seed, global_batch, size)
-            cells = _power_center_cells(model, cells)
-            q = _q_from_cells(cells, model.coefficients, 1)
+            q = sampler.q(sampler.factors(sampler.cells(seed, global_batch, size)))
             batch_sums.append(float(np.sum(np.abs(q) ** p)))
             batch_counts.append(size)
             global_batch += 1

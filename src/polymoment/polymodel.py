@@ -25,6 +25,7 @@ chain inputs.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field, replace
 from math import comb
@@ -59,6 +60,7 @@ __all__ = [
     "Rademacher",
     "CustomQuantile",
     "PolynomialModel",
+    "Sampler",
     "variance_of_Q",
     "sample_cells",
     "sample_Q",
@@ -455,8 +457,7 @@ class LogPerturbedPareto(InputDistribution):
     def survival_quantile(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         lg = np.abs(np.log(u))
-        slow = np.array([self.slowvar(v) for v in lg])
-        return u ** (-1.0 / self.r) * lg ** self.kappa * slow
+        return u ** (-1.0 / self.r) * lg ** self.kappa * self.slowvar(lg)
 
     @property
     def moment_boundary(self) -> float:
@@ -841,18 +842,6 @@ def batch_plan(replications: int, target_batches: int = 64) -> List[int]:
     return sizes
 
 
-def _cell_key_matrix(rows: int, slots: int, sharing: str) -> np.ndarray:
-    """Column index into the uniform matrix for each cell (row, slot)."""
-    keys = np.empty((rows, slots), dtype=np.int64)
-    if sharing == "none":
-        keys[:] = np.arange(rows * slots).reshape(rows, slots)
-    elif sharing == "vectors":
-        keys[:] = np.repeat(np.arange(rows)[:, None], slots, axis=1)
-    else:  # "all"
-        keys[:] = 0
-    return keys
-
-
 def _window(model: PolynomialModel, window: Optional[Tuple[int, int]]) -> Tuple[int, int]:
     if window is None:
         return 1, model.n
@@ -863,177 +852,222 @@ def _window(model: PolynomialModel, window: Optional[Tuple[int, int]]) -> Tuple[
     return lo, hi
 
 
-def _sample_batch_cells(
-    model: PolynomialModel,
-    seed: int,
-    batch_index: int,
-    size: int,
-    window: Optional[Tuple[int, int]] = None,
-) -> np.ndarray:
-    """One batch of transformed cells, shape (size, rows, slots)."""
-    i_lo, i_hi = _window(model, window)
-    rows = i_hi - i_lo + 1
-    slots = model.slots
-    keys = _cell_key_matrix(rows, slots, model.sharing)
-    nkeys = int(keys.max()) + 1
-    gen = _stream(seed, batch_index)
-    u_mag = 1.0 - gen.random((size, nkeys))  # survival uniforms in (0, 1]
-    symmetrized = _is_symmetrized(model.regime.tag)
-    if symmetrized:
-        u_sgn = gen.random((size, nkeys))
-        signs = np.where(u_sgn < 0.5, -1.0, 1.0)
-
-    # per-slot raw values through the slot's quantile
-    cells = np.empty((size, rows, slots), dtype=float)
-    for m, dist in enumerate(model.distributions):
-        loc, scale = cell_loc_scale(dist, symmetrized)
-        cols = keys[:, m]
-        raw = dist.survival_quantile(u_mag[:, cols])
-        if symmetrized:
-            cells[:, :, m] = np.abs(raw) / scale * signs[:, cols]
-        else:
-            cells[:, :, m] = (raw - loc) / scale
-
-    if symmetrized:
-        _apply_modulators(cells, model.regime, reverse=model.regime.reverse)
-    return cells
-
-
-def _apply_modulators(cells: np.ndarray, regime: DependenceRegime, reverse: bool) -> None:
-    """Multiply symmetrised cells in place by past-measurable modulators.
-
-    The modulator for row i is ``1 + 0.5 * mean(signs of all previously
-    generated cells)``; "previous" follows time order, which is reversed for
-    reverse-filtration models.  Vector-independent models keep one running
-    state per factor slot so the vectors stay mutually independent; the
-    martingale model couples everything through a single global state.
-    """
-    size, rows, slots = cells.shape
-    order = range(rows - 1, -1, -1) if reverse else range(rows)
-    if regime.tag == VECTOR_INDEPENDENT:
-        sums = np.zeros((size, slots))
-        count = 0
-        for i in order:
-            if count > 0:
-                w = 1.0 + 0.5 * sums / count
-            else:
-                w = np.ones((size, slots))
-            signs_row = np.sign(cells[:, i, :])
-            cells[:, i, :] *= w
-            sums += signs_row
-            count += 1
-    else:  # martingale: one global filtration
-        total = np.zeros(size)
-        count = 0
-        for i in order:
-            if count > 0:
-                w = 1.0 + 0.5 * total / count
-            else:
-                w = np.ones(size)
-            signs_row = np.sign(cells[:, i, :])
-            cells[:, i, :] *= w[:, None]
-            total += signs_row.sum(axis=1)
-            count += slots
-
-
-_POWER_MEAN_CACHE: Dict[tuple, float] = {}
-
-
 def power_mean(model: PolynomialModel, slot: int) -> float:
     """E[cell^k] for the given factor slot of a polynomial model."""
     k = model.multiplicities[slot]
     dist = model.distributions[slot]
-    symmetrized = _is_symmetrized(model.regime.tag)
-    key = (dist, symmetrized, k)
-    if key in _POWER_MEAN_CACHE:
-        return _POWER_MEAN_CACHE[key]
-    loc, scale = cell_loc_scale(dist, symmetrized)
+    loc, scale = cell_loc_scale(dist, _is_symmetrized(model.regime.tag))
     at = dist.atoms()
     if at is not None:
         vals, probs = at
-        mk = float(np.sum(probs * ((vals - loc) / scale) ** k))
-    else:
-        if k >= dist.moment_boundary:
-            raise ValueError(f"E X^{k} diverges for {dist}")
-        mk = _survival_quad(dist, float(k), loc=loc, signed=True) / scale ** k
-    _POWER_MEAN_CACHE[key] = mk
-    return mk
+        return float(np.sum(probs * ((vals - loc) / scale) ** k))
+    if k >= dist.moment_boundary:
+        raise ValueError(f"E X^{k} diverges for {dist}")
+    return _survival_quad(dist, float(k), loc=loc, signed=True) / scale ** k
 
 
-def _power_center_cells(model: PolynomialModel, cells: np.ndarray) -> np.ndarray:
-    """Turn cells into ``cell^k(l) - E cell^k(l)`` factors for polynomial models."""
-    if model.multiplicities is None:
+class Sampler:
+    """Sampling and Q evaluation for one model, prepared once and shared by all batches.
+
+    Cells are time-major, shape ``(rows, slots, size)``, so each time step is
+    one contiguous block in the order the modulators and the Q recursion
+    consume them.  Batch ``b`` of ``size`` replications draws
+    ``gen.random((size, nkeys))`` survival uniforms (and as many sign uniforms
+    in symmetrised regimes) from the Philox stream keyed on ``(seed, b)``.
+    Key ``i * slots + m`` drives cell (i, m) under sharing "none", key ``i``
+    drives row i under "vectors" and key 0 drives every cell under "all", so
+    the transposed draw is a ``key_shape + (size,)`` block that broadcasts
+    against the cells.  Everything that does not depend on the draw is
+    computed here: per-slot (loc, scale), power means, the key layout, the
+    window-restricted tensor and whether the uniform-tensor recursion applies.
+    Batches only read this state and keep their scratch buffers per thread,
+    so one sampler serves concurrent batches.
+    """
+
+    def __init__(self, model: PolynomialModel, window: Optional[Tuple[int, int]] = None):
+        self.model = model
+        self.i_lo, i_hi = _window(model, window)
+        self.rows = i_hi - self.i_lo + 1
+        slots = model.slots
+        self.symmetrized = _is_symmetrized(model.regime.tag)
+        self.loc_scale = [cell_loc_scale(d_, self.symmetrized) for d_ in model.distributions]
+        self.key_shape = {
+            "none": (self.rows, slots),
+            "vectors": (self.rows, 1),
+            "all": (1, 1),
+        }[model.sharing]
+        self.nkeys = self.key_shape[0] * self.key_shape[1]
+        self.key_cols = list(range(slots)) if model.sharing == "none" else [0] * slots
+        self.powers = None
+        if model.multiplicities is not None:
+            self.powers = [
+                (k, power_mean(model, l) if k else 0.0)
+                for l, k in enumerate(model.multiplicities)
+            ]
+        tensor = model.coefficients
+        if window is not None:
+            tensor = tensor.restrict(self.i_lo, i_hi)
+        self.coef = next(iter(tensor.entries.values())) if tensor.is_uniform else None
+        # general tensors: lexicographic terms, and the same grouped by last
+        # index for the running maximum
+        self.terms = [(tuple(i - self.i_lo for i in I), b) for I, b in tensor.items_sorted()]
+        by_last: Dict[int, list] = {}
+        for term in self.terms:
+            by_last.setdefault(term[0][-1], []).append(term)
+        self.terms_by_last = [by_last[k] for k in sorted(by_last)]
+        self._local = threading.local()
+
+    def _buffers(self, size: int) -> Tuple[np.ndarray, np.ndarray]:
+        """This thread's draw and key buffers, kept across its batches."""
+        local = self._local
+        if getattr(local, "size", None) != size:
+            local.size = size
+            local.draw = np.empty((size, self.nkeys))
+            local.keys = np.empty((self.nkeys, size))
+        return local.draw, local.keys
+
+    def cells(self, seed: int, batch_index: int, size: int) -> np.ndarray:
+        """One batch of transformed cells, time-major, before power centering."""
+        gen = _stream(seed, batch_index)
+        draw, keys = self._buffers(size)
+        gen.random(out=draw)
+        np.subtract(1.0, draw.T, out=keys)  # survival uniforms in (0, 1]
+        keys = keys.reshape(self.key_shape + (size,))
+        cells = np.empty((self.rows, self.model.slots, size))
+        for m, dist in enumerate(self.model.distributions):
+            loc, scale = self.loc_scale[m]
+            raw = dist.survival_quantile(keys[:, self.key_cols[m]])
+            if self.symmetrized:
+                # the magnitude is |raw| / scale; its sign is set below
+                np.divide(raw, scale, out=cells[:, m])
+            else:
+                np.subtract(raw, loc, out=cells[:, m])
+                cells[:, m] /= scale
+        if self.symmetrized:
+            # negative exactly when the cell's sign uniform is below 0.5
+            gen.random(out=draw)
+            draw -= 0.5
+            np.copysign(cells, draw.T.reshape(self.key_shape + (size,)), out=cells)
+            self.modulate(cells)
         return cells
-    out = np.empty_like(cells)
-    for l, k in enumerate(model.multiplicities):
-        if k == 0:
-            out[:, :, l] = 1.0
-            continue
-        out[:, :, l] = cells[:, :, l] ** k - power_mean(model, l)
-    return out
 
+    def modulate(self, cells: np.ndarray) -> None:
+        """Multiply symmetrised time-major cells in place by past-measurable modulators.
 
-def _q_from_cells(
-    cells: np.ndarray,
-    tensor: CoefficientTensor,
-    i_lo: int,
-    running_max: bool = False,
-) -> np.ndarray:
-    """Evaluate the multilinear sum (optionally its running max over n)."""
-    size, rows, slots = cells.shape
-    if tensor.is_uniform and tensor.d == slots and i_lo == 1 and rows == tensor.n:
-        c = next(iter(tensor.entries.values()))
-        P = np.zeros((size, slots + 1))
-        P[:, 0] = 1.0
-        if running_max:
-            best = np.zeros(size)
-        for k in range(rows):
-            for m in range(min(k + 1, slots), 0, -1):
-                P[:, m] += P[:, m - 1] * cells[:, k, m - 1]
-            if running_max:
-                np.maximum(best, np.abs(c * P[:, slots]), out=best)
-        return best if running_max else c * P[:, slots]
+        The modulator for row i is ``1 + 0.5 * mean(signs of all previously
+        generated cells)``; "previous" follows time order, which is reversed for
+        reverse-filtration models.  Vector-independent models keep one running
+        state per factor slot so the vectors stay mutually independent; the
+        martingale model couples everything through a single global state.
+        """
+        rows, slots, size = cells.shape
+        vector = self.model.regime.tag == VECTOR_INDEPENDENT
+        total = np.zeros((slots, size) if vector else size)
+        step = 1 if vector else slots
+        order = range(rows - 1, -1, -1) if self.model.regime.reverse else range(rows)
+        for k, i in enumerate(order):
+            signs = np.sign(cells[i])
+            if k:
+                cells[i] *= 1.0 + 0.5 * total / (k * step)
+            total += signs if vector else signs.sum(axis=0)
 
-    q = np.zeros(size)
-    if running_max:
+    def factors(self, cells: np.ndarray) -> np.ndarray:
+        """Cells as Q factors: ``cell^k(l) - E cell^k(l)`` for polynomial models."""
+        if self.powers is None:
+            return cells
+        out = np.empty_like(cells)
+        for l, (k, mean) in enumerate(self.powers):
+            out[:, l] = cells[:, l] ** k - mean if k else 1.0
+        return out
+
+    def q(self, factors: np.ndarray, running_max: bool = False) -> np.ndarray:
+        """Q for each replication, or the running maximum of |Q| over time."""
+        size = factors.shape[-1]
         best = np.zeros(size)
-        by_last: Dict[int, List[Tuple[IndexTuple, float]]] = {}
-        for I, b in tensor.items_sorted():
-            if I[0] < i_lo or I[-1] > i_lo + rows - 1:
-                continue
-            by_last.setdefault(I[-1], []).append((I, b))
-        for k in range(i_lo, i_lo + rows):
-            for I, b in by_last.get(k, ()):
-                term = np.full(size, b)
-                for m, i in enumerate(I):
-                    term = term * cells[:, i - i_lo, m]
+        if self.coef is not None:
+            # P[m] sums the m-fold products over increasing indices seen so far
+            slots = self.model.slots
+            P = np.zeros((slots + 1, size))
+            P[0] = 1.0
+            for k in range(self.rows):
+                for m in range(min(k + 1, slots), 0, -1):
+                    P[m] += P[m - 1] * factors[k, m - 1]
+                if running_max:
+                    np.maximum(best, np.abs(self.coef * P[slots]), out=best)
+            return best if running_max else self.coef * P[slots]
+        q = np.zeros(size)
+        for group in self.terms_by_last if running_max else [self.terms]:
+            for I, b in group:
+                term = b * factors[I[0], 0]
+                for m in range(1, len(I)):
+                    term *= factors[I[m], m]
                 q += term
-            np.maximum(best, np.abs(q), out=best)
-        return best
-    for I, b in tensor.items_sorted():
-        if I[0] < i_lo or I[-1] > i_lo + rows - 1:
-            continue
-        term = np.full(size, b)
-        for m, i in enumerate(I):
-            term = term * cells[:, i - i_lo, m]
-        q += term
-    return q
+            if running_max:
+                np.maximum(best, np.abs(q), out=best)
+        return best if running_max else q
+
+    def enumerate(self, limit: int = 1 << 24) -> Tuple[np.ndarray, np.ndarray]:
+        """Exact joint states of a finitely supported model as time-major factors.
+
+        The sharing rule reduces the state space to one coordinate per
+        distinct underlying draw; sharing across slots requires identical
+        distributions in those slots.  Returns ``(factors, probs)``.
+        """
+        model = self.model
+        if model.sharing != "none" and len(set(model.distributions)) > 1:
+            raise ValueError("shared draws require identical distributions across slots")
+        atom_vals: List[np.ndarray] = []
+        atom_probs: List[np.ndarray] = []
+        total = 1
+        for j in range(self.nkeys):
+            m = j % self.key_shape[1]  # the key's slot; shared keys have identical slots
+            dist = model.distributions[m]
+            at = dist.atoms()
+            if at is None:
+                raise ValueError(f"{dist} has no finite support; enumeration impossible")
+            vals, probs = at
+            loc, scale = self.loc_scale[m]
+            if self.symmetrized:
+                mags = np.abs(vals) / scale
+                vals2 = np.concatenate([-mags, mags])
+                probs2 = np.concatenate([probs, probs]) * 0.5
+            else:
+                vals2 = (vals - loc) / scale
+                probs2 = probs
+            atom_vals.append(vals2)
+            atom_probs.append(probs2)
+            total *= len(vals2)
+            if total > limit:
+                raise ValueError(f"state space of size > {limit} is too large to enumerate")
+
+        # mixed-radix enumeration of all joint key states
+        radices = [len(v) for v in atom_vals]
+        states = np.indices(radices).reshape(self.nkeys, -1)  # (nkeys, total)
+        key_values = np.empty((self.nkeys, total))
+        probs = np.ones(total)
+        for k in range(self.nkeys):
+            key_values[k] = atom_vals[k][states[k]]
+            probs *= atom_probs[k][states[k]]
+
+        key_values = key_values.reshape(self.key_shape + (total,))
+        cells = np.empty((self.rows, model.slots, total))
+        cells[:] = key_values
+        if self.symmetrized:
+            self.modulate(cells)
+        return self.factors(cells), probs
 
 
 def tuple_products(
     cells: np.ndarray, tuples: Sequence[IndexTuple], i_lo: int = 1
 ) -> np.ndarray:
-    """Matrix of per-tuple factor products, shape (len(tuples), size).
+    """Matrix of per-tuple factor products from time-major cells, shape (len(tuples), size).
 
     Shared across coefficient tensors when sweeping the unit ball.
     """
-    size = cells.shape[0]
-    out = np.empty((len(tuples), size))
-    for j, I in enumerate(tuples):
-        term = cells[:, I[0] - i_lo, 0].copy()
-        for m, i in enumerate(I[1:], start=1):
-            term *= cells[:, i - i_lo, m]
-        out[j] = term
+    rows = np.asarray(tuples, dtype=np.intp) - i_lo
+    out = cells[rows[:, 0], 0]
+    for m in range(1, rows.shape[1]):
+        out *= cells[rows[:, m], m]
     return out
 
 
@@ -1045,22 +1079,22 @@ def iter_q_batches(
     window: Optional[Tuple[int, int]] = None,
 ) -> Iterator[np.ndarray]:
     """Yield batches of realisations; the partition is a pure function of the count."""
-    i_lo, i_hi = _window(model, window)
-    tensor = model.coefficients if window is None else model.coefficients.restrict(i_lo, i_hi)
+    sampler = Sampler(model, window)
     for b, size in enumerate(batch_plan(replications)):
-        cells = _sample_batch_cells(model, seed, b, size, window=window)
-        cells = _power_center_cells(model, cells)
-        yield _q_from_cells(cells, tensor, i_lo, running_max=running_max)
+        yield sampler.q(sampler.factors(sampler.cells(seed, b, size)), running_max)
 
 
 def sample_cells(
     model: PolynomialModel, seed: int, replications: int
 ) -> np.ndarray:
     """Materialise transformed cells, shape (replications, n, slots)."""
-    parts = []
-    for b, size in enumerate(batch_plan(replications)):
-        parts.append(_sample_batch_cells(model, seed, b, size))
-    return np.concatenate(parts, axis=0)
+    sampler = Sampler(model)
+    return np.concatenate(
+        [
+            sampler.cells(seed, b, size).transpose(2, 0, 1)
+            for b, size in enumerate(batch_plan(replications))
+        ]
+    )
 
 
 def sample_Q(model: PolynomialModel, seed: int, replications: int) -> np.ndarray:
@@ -1138,61 +1172,10 @@ def enumeration_states(model: PolynomialModel, limit: int = 1 << 24):
     """Exact joint states of a finitely supported model.
 
     Returns ``(cells, probs)`` where cells has shape (states, n, slots) and
-    probs are exact joint probabilities.  The sharing rule reduces the state
-    space to one coordinate per distinct underlying draw; sharing across
-    slots requires identical distributions in those slots.
+    probs are exact joint probabilities (see :meth:`Sampler.enumerate`).
     """
-    i_lo, i_hi = 1, model.n
-    rows = model.n
-    slots = model.slots
-    keys = _cell_key_matrix(rows, slots, model.sharing)
-    nkeys = int(keys.max()) + 1
-    symmetrized = _is_symmetrized(model.regime.tag)
-
-    if model.sharing != "none" and len(set(model.distributions)) > 1:
-        raise ValueError("shared draws require identical distributions across slots")
-
-    key_dist: List[InputDistribution] = [None] * nkeys
-    for m, dist in enumerate(model.distributions):
-        for i in range(rows):
-            key_dist[keys[i, m]] = dist
-
-    atom_vals: List[np.ndarray] = []
-    atom_probs: List[np.ndarray] = []
-    total = 1
-    for dist in key_dist:
-        at = dist.atoms()
-        if at is None:
-            raise ValueError(f"{dist} has no finite support; enumeration impossible")
-        vals, probs = at
-        loc, scale = cell_loc_scale(dist, symmetrized)
-        if symmetrized:
-            mags = np.abs(vals) / scale
-            vals2 = np.concatenate([-mags, mags])
-            probs2 = np.concatenate([probs, probs]) * 0.5
-        else:
-            vals2 = (vals - loc) / scale
-            probs2 = probs
-        atom_vals.append(vals2)
-        atom_probs.append(probs2)
-        total *= len(vals2)
-        if total > limit:
-            raise ValueError(f"state space of size > {limit} is too large to enumerate")
-
-    # mixed-radix enumeration of all joint key states
-    radices = [len(v) for v in atom_vals]
-    states = np.indices(radices).reshape(nkeys, -1).T  # (total, nkeys)
-    key_values = np.empty((total, nkeys))
-    probs = np.ones(total)
-    for k in range(nkeys):
-        key_values[:, k] = atom_vals[k][states[:, k]]
-        probs *= atom_probs[k][states[:, k]]
-
-    cells = key_values[:, keys.reshape(-1)].reshape(total, rows, slots)
-    if symmetrized:
-        _apply_modulators(cells, model.regime, reverse=model.regime.reverse)
-    cells = _power_center_cells(model, cells)
-    return cells, probs
+    factors, probs = Sampler(model).enumerate(limit)
+    return np.ascontiguousarray(factors.transpose(2, 0, 1)), probs
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,40 @@ class TestVerifyCommand:
         assert code == 2
         assert "bundled" in err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--seed", "-1"), ("--seed", str(2 ** 64)), ("--threads", "0")]
+    )
+    def test_bad_seed_or_threads_flag_exits_2(self, capsys, flag, value):
+        code, _, err = run_cli(
+            capsys, "verify", "--scenario", "rademacher_d2_common", flag, value
+        )
+        assert code == 2
+        assert flag[2:] in err
+
+    def test_bad_seed_in_config_exits_2(self, capsys, tmp_path):
+        cfg = {
+            "name": "bad",
+            "model": {
+                "d": 1, "n": 3,
+                "regime": {"tag": "common_independent", "direction": "forward"},
+                "coefficients": {"kind": "uniform"},
+                "distributions": [{"kind": "rademacher"}],
+            },
+            "plan": {"replications": 2000, "p_grid": [2.0], "seed": -1},
+            "output": {},
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "verify", "--config", str(path))
+        assert code == 2
+        assert "seed" in err
+
+    def test_zero_threads_from_environment_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("POLYMOMENT_THREADS", "0")
+        code, _, err = run_cli(capsys, "verify", "--scenario", "rademacher_d2_common")
+        assert code == 2
+        assert "threads" in err
+
     def test_roundtrip_from_report(self, capsys, tmp_path):
         prefix = str(tmp_path / "first")
         code, _, _ = run_cli(

@@ -110,6 +110,21 @@ class TestSlowlyVarying:
         L = SlowlyVarying.log_power(-1.0)
         assert L(0.1) == L(1.0)
 
+    @pytest.mark.parametrize(
+        "L",
+        [
+            SlowlyVarying.constant(2.5),
+            SlowlyVarying.log_power(1.5),
+            SlowlyVarying.from_callable(lambda x: 1.0 + 1.0 / x),
+        ],
+    )
+    def test_array_matches_scalars(self, L):
+        xs = np.array([[0.5, 1.0, 2.0], [10.0, 1e3, 1e6]])
+        got = L(xs)
+        assert got.shape == xs.shape
+        for x, v in zip(xs.ravel(), got.ravel()):
+            assert v == pytest.approx(L(float(x)), rel=1e-14)
+
 
 class TestSupportInterval:
     def test_invalid(self):

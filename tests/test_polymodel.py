@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,17 +10,23 @@ from polymoment import (
     CustomQuantile,
     DependenceRegime,
     DoubleExpDiscrete,
+    ExperimentPlan,
+    Indicator,
     LogPerturbedPareto,
     LogPowerOnly,
     ParetoPower,
     PolynomialModel,
     Rademacher,
+    Scaled,
+    SlowlyVarying,
     Weibull,
+    doob_experiment,
     empirical_moments,
     enumerate_indices,
     natural_envelope,
     natural_moments_pareto_power,
     normalize_model,
+    run_experiment,
     sample_Q,
     sample_R,
     sample_cells,
@@ -28,11 +35,16 @@ from polymoment import (
     variance_of_Q,
 )
 from polymoment.polymodel import (
+    _stream,
+    batch_plan,
     cell_abs_moment,
+    cell_loc_scale,
     cell_sigma,
     enumeration_states,
+    iter_q_batches,
     model_from_config,
     model_to_config,
+    power_mean,
 )
 
 
@@ -473,3 +485,241 @@ class TestEnumerationGuards:
         model = common_model(2, 3, [ParetoPower(6.0), ParetoPower(6.0)])
         with pytest.raises(ValueError):
             enumeration_states(model)
+
+
+# ---------------------------------------------------------------------------
+# reference sampler: the replication-major (size, rows, slots) layout and Q
+# loops the library used before cells became time-major; the library must
+# reproduce it bit for bit
+# ---------------------------------------------------------------------------
+
+
+def ref_cells(model, seed, b, size, window=None):
+    i_lo, i_hi = (1, model.n) if window is None else window
+    rows, slots = i_hi - i_lo + 1, model.slots
+    if model.sharing == "none":
+        keys = np.arange(rows * slots).reshape(rows, slots)
+    elif model.sharing == "vectors":
+        keys = np.repeat(np.arange(rows)[:, None], slots, axis=1)
+    else:
+        keys = np.zeros((rows, slots), dtype=np.int64)
+    nkeys = int(keys.max()) + 1
+    gen = _stream(seed, b)
+    u_mag = 1.0 - gen.random((size, nkeys))
+    sym = model.regime.tag in ("martingale", "vector_independent")
+    if sym:
+        signs = np.where(gen.random((size, nkeys)) < 0.5, -1.0, 1.0)
+    cells = np.empty((size, rows, slots))
+    for m, dist in enumerate(model.distributions):
+        loc, scale = cell_loc_scale(dist, sym)
+        raw = dist.survival_quantile(u_mag[:, keys[:, m]])
+        if sym:
+            cells[:, :, m] = np.abs(raw) / scale * signs[:, keys[:, m]]
+        else:
+            cells[:, :, m] = (raw - loc) / scale
+    if not sym:
+        return cells
+    order = range(rows - 1, -1, -1) if model.regime.reverse else range(rows)
+    if model.regime.tag == "vector_independent":
+        sums = np.zeros((size, slots))
+        count = 0
+        for i in order:
+            w = 1.0 + 0.5 * sums / count if count > 0 else np.ones((size, slots))
+            signs_row = np.sign(cells[:, i, :])
+            cells[:, i, :] *= w
+            sums += signs_row
+            count += 1
+    else:
+        total = np.zeros(size)
+        count = 0
+        for i in order:
+            w = 1.0 + 0.5 * total / count if count > 0 else np.ones(size)
+            signs_row = np.sign(cells[:, i, :])
+            cells[:, i, :] *= w[:, None]
+            total += signs_row.sum(axis=1)
+            count += slots
+    return cells
+
+
+def ref_factors(model, cells):
+    if model.multiplicities is None:
+        return cells
+    out = np.empty_like(cells)
+    for l, k in enumerate(model.multiplicities):
+        out[:, :, l] = cells[:, :, l] ** k - power_mean(model, l) if k else 1.0
+    return out
+
+
+def ref_q(cells, tensor, i_lo, running_max=False):
+    size, rows, slots = cells.shape
+    if tensor.is_uniform and tensor.d == slots and i_lo == 1 and rows == tensor.n:
+        c = next(iter(tensor.entries.values()))
+        P = np.zeros((size, slots + 1))
+        P[:, 0] = 1.0
+        best = np.zeros(size)
+        for k in range(rows):
+            for m in range(min(k + 1, slots), 0, -1):
+                P[:, m] += P[:, m - 1] * cells[:, k, m - 1]
+            if running_max:
+                np.maximum(best, np.abs(c * P[:, slots]), out=best)
+        return best if running_max else c * P[:, slots]
+    q = np.zeros(size)
+    best = np.zeros(size)
+    items = tensor.items_sorted()
+    if running_max:
+        items = sorted(items, key=lambda item: item[0][-1])
+    last = None
+    for I, b in items:
+        if running_max and last is not None and I[-1] != last:
+            np.maximum(best, np.abs(q), out=best)
+        last = I[-1]
+        term = np.full(size, b)
+        for m, i in enumerate(I):
+            term = term * cells[:, i - i_lo, m]
+        q += term
+    np.maximum(best, np.abs(q), out=best)
+    return best if running_max else q
+
+
+def ref_sample(model, seed, reps, window=None, running_max=False):
+    i_lo, i_hi = (1, model.n) if window is None else window
+    tensor = model.coefficients if window is None else model.coefficients.restrict(i_lo, i_hi)
+    cells, qs = [], []
+    for b, size in enumerate(batch_plan(reps)):
+        c = ref_cells(model, seed, b, size, window)
+        cells.append(c)
+        qs.append(ref_q(ref_factors(model, c), tensor, i_lo, running_max))
+    return np.concatenate(cells), np.concatenate(qs)
+
+
+def assert_identical(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+SMOKE_DISTS = {
+    "pareto_power": ParetoPower(4.0),
+    "log_perturbed_pareto": LogPerturbedPareto(4.0, 0.5, SlowlyVarying.log_power(1.0)),
+    "log_power": LogPowerOnly(0.7),
+    "double_exp_discrete": DoubleExpDiscrete(),
+    "weibull": Weibull(1.0, 2.0),
+    "rademacher": Rademacher(),
+}
+SMOKE_REGIMES = [
+    ("common_independent", "none"),
+    ("vector_independent", "none"),
+    ("inside_independent", "none"),
+    ("inside_independent", "vectors"),
+    ("inside_independent", "all"),
+    ("martingale", "none"),
+    ("martingale", "vectors"),
+    ("martingale", "all"),
+]
+
+
+def flat_plan(model, reps=2000, **kw):
+    # a flat bound that nothing exceeds: these checks concern sampling only
+    bound = Scaled(Indicator(r=10.0), 1e300)
+    return ExperimentPlan(model=model, replications=reps, p_grid=(1.5,), bound=bound, **kw)
+
+
+class TestSmokeMatrix:
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    @pytest.mark.parametrize("tag, sharing", SMOKE_REGIMES)
+    @pytest.mark.parametrize("kind", sorted(SMOKE_DISTS))
+    def test_case(self, kind, tag, sharing, direction):
+        dist = SMOKE_DISTS[kind]
+        model = common_model(2, 4, [dist, dist], sharing=sharing, tag=tag, direction=direction)
+        assert model_from_config(model_to_config(model)) == model
+        cells = sample_cells(model, 5, 2000)
+        assert cells.shape == (2000, 4, 2)
+        assert np.all(np.isfinite(cells))
+        want_cells, want_q = ref_sample(model, 5, 2000)
+        assert_identical(cells, want_cells)
+        assert_identical(sample_Q(model, 5, 2000), want_q)
+        one = run_experiment(flat_plan(model, seed=5, threads=1))
+        two = run_experiment(flat_plan(model, seed=5, threads=2))
+        assert one.result_payload() == two.result_payload()
+
+
+class TestSharedSampler:
+    def test_threads_outnumbering_cores(self):
+        # batches share one sampler; each thread must keep its own buffers
+        dists = [ParetoPower(r, standardized=True) for r in (6.0, 8.0, 6.0)]
+        model = common_model(3, 8, dists, tag="martingale")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = run_experiment(flat_plan(model, reps=30000, seed=2, threads=8))
+        finally:
+            sys.setswitchinterval(interval)
+        one = run_experiment(flat_plan(model, reps=30000, seed=2, threads=1))
+        assert many.result_payload() == one.result_payload()
+
+
+class TestReferenceIdentity:
+    @staticmethod
+    def pareto(tag, d, n, tensor=None, direction="forward"):
+        centered = tag in ("common_independent", "inside_independent")
+        dists = [ParetoPower(r, centered=centered, standardized=True) for r in (6.0, 8.0, 6.0)]
+        return common_model(d, n, dists[:d], tensor=tensor, tag=tag, direction=direction)
+
+    @pytest.mark.parametrize("tag", ["common_independent", "vector_independent", "martingale"])
+    @pytest.mark.parametrize("tensor_kind", ["uniform", "random"])
+    def test_q_and_running_max(self, tag, tensor_kind):
+        tensor = None
+        if tensor_kind == "random":
+            tensor = CoefficientTensor.random_unit(3, 7, np.random.default_rng(3))
+        model = self.pareto(tag, 3, 7, tensor=tensor)
+        _, want = ref_sample(model, 11, 3000)
+        assert_identical(sample_Q(model, 11, 3000), want)
+        _, want_max = ref_sample(model, 11, 3000, running_max=True)
+        got_max = np.concatenate(list(iter_q_batches(model, 11, 3000, running_max=True)))
+        assert_identical(got_max, want_max)
+
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    @pytest.mark.parametrize("tensor_kind", ["uniform", "random"])
+    def test_window(self, direction, tensor_kind):
+        tensor = None
+        if tensor_kind == "random":
+            tensor = CoefficientTensor.random_unit(2, 8, np.random.default_rng(4))
+        model = self.pareto("martingale", 2, 8, tensor=tensor, direction=direction)
+        for window in [(3, 8), (1, 8), (2, 5)]:
+            _, want = ref_sample(model, 12, 3000, window=window)
+            assert_identical(sample_reverse_V(model, 12, 3000, *window), want)
+            _, want_max = ref_sample(model, 12, 3000, window=window, running_max=True)
+            got = iter_q_batches(model, 12, 3000, running_max=True, window=window)
+            assert_identical(np.concatenate(list(got)), want_max)
+
+    @pytest.mark.parametrize("mult", [(2,), (1, 1), (2, 1), (3, 0, 1)])
+    def test_multiplicities(self, mult):
+        dists = [ParetoPower(8.0, centered=True), Weibull(1.0, 1.5), LogPowerOnly(0.5)]
+        slots = len(mult)
+        tensor = CoefficientTensor.uniform(slots, 5)
+        if slots == 3:
+            tensor = CoefficientTensor.random_unit(slots, 5, np.random.default_rng(6))
+        model = common_model(sum(mult), 5, dists[:slots], tensor=tensor, multiplicities=mult)
+        _, want = ref_sample(model, 13, 3000)
+        assert_identical(sample_R(model, 13, 3000), want)
+
+    def test_doob_report_matches_reference(self):
+        tensor = CoefficientTensor.random_unit(2, 6, np.random.default_rng(8))
+        model = self.pareto("martingale", 2, 6, tensor=tensor)
+        report = doob_experiment(flat_plan(model, reps=3000, seed=14, experiment="doob"))
+        _, q = ref_sample(model, 14, 3000, running_max=True)
+        parts = np.split(q, np.cumsum(batch_plan(3000))[:-1])
+        total = sum(np.sum(np.abs(part) ** 1.5) for part in parts)
+        assert report.moment_rows[0].empirical == (total / 3000.0) ** (1.0 / 1.5)
+
+
+class TestLogPerturbedPareto:
+    def test_run_experiment(self):
+        dist = LogPerturbedPareto(6.0, 0.5, SlowlyVarying.log_power(1.0))
+        model = common_model(1, 3, [dist], tensor=CoefficientTensor.uniform(1, 3))
+        # Minkowski: |Q|_p <= sum_i b_i |X|_p = sqrt(3) |X|_p
+        env = Scaled(natural_envelope(dist, "common_independent", points=17), math.sqrt(3.0))
+        plan = ExperimentPlan(model=model, replications=20000, p_grid=(1.5, 2.5), bound=env)
+        report = run_experiment(plan)
+        assert report.passed
+        assert all(math.isfinite(r.empirical) and r.empirical > 0 for r in report.moment_rows)
