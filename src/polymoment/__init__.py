@@ -36,7 +36,6 @@ from .envelope import (  # noqa: F401
     TailBound,
     WeibullTail,
     empirical_moments,
-    eval_envelope,
     gls_norm,
     moments_from_tail,
     natural_moments_pareto_power,

@@ -292,28 +292,52 @@ def otimes_chain(
             " has empty exponent domain (reciprocal exponents sum to >= 1)"
         )
     final_grid = None if p_grid is None else np.asarray(p_grid, dtype=float)
-    p_max_hint = None if final_grid is None else float(final_grid[-1])
+    return _compose_stages(envs[0], uppers[0], envs[1:], final_grid, points, coarse=coarse)[-1]
 
-    acc = envs[0]
-    r_acc = uppers[0]
-    eff_acc = acc.evaluable_upper()[0]
-    for k, nxt in enumerate(envs[1:], start=2):
-        r_acc = combined_exponent([r_acc, uppers[k - 1]])
-        eff_acc = combined_exponent([eff_acc, nxt.evaluable_upper()[0]])
-        last = k == len(envs)
+
+def _stage_from_values(grid: np.ndarray, vals: np.ndarray, upper: float) -> Tabulated:
+    if np.any(~np.isfinite(vals)) or np.any(vals <= 0):
+        raise ChainFeasibilityError(
+            "chain stage evaluated to a non-finite or non-positive value; the grid"
+            f" must stay strictly inside the combined exponent {upper:.6g}"
+        )
+    return Tabulated(grid, vals, upper=upper if math.isfinite(upper) else None)
+
+
+def _compose_stages(
+    acc: MomentEnvelope,
+    r_acc: float,
+    nxts: Sequence[MomentEnvelope],
+    final_grid: Optional[np.ndarray],
+    points: int,
+    K: Optional[GrowthConstant] = None,
+    coarse: int = 64,
+) -> list:
+    """Fold ``acc`` with each of ``nxts``: stage ``K(p) * (acc (x) nxt)(p)``.
+
+    ``r_acc`` is the declared singularity exponent of ``acc``; it is passed
+    explicitly because a tabulated first stage of an infinite-support input
+    reports its finite grid end as ``support.upper``.  Each stage is
+    tabulated on its own partial-exponent grid (the last one on
+    ``final_grid`` when given) and becomes ``acc`` for the next factor.
+    Returns the stages in fold order.
+    """
+    p_max_hint = None if final_grid is None else float(final_grid[-1])
+    stages = []
+    for k, nxt in enumerate(nxts, start=1):
+        r_acc = combined_exponent([r_acc, nxt.support.upper])
+        eff_acc = combined_exponent([acc.evaluable_upper()[0], nxt.evaluable_upper()[0]])
+        last = k == len(nxts)
         if last and final_grid is not None:
             grid = final_grid
         else:
             grid = _stage_grid(eff_acc, r_acc, points, p_max_hint, final=last)
         vals = np.array([otimes(acc, nxt, float(p), coarse=coarse) for p in grid])
-        if np.any(~np.isfinite(vals)):
-            raise ChainFeasibilityError(
-                "composed envelope is infinite at a requested grid point; keep the"
-                f" grid strictly below the combined exponent {r_acc:.6g}"
-            )
-        acc = Tabulated(grid, vals, upper=r_acc if math.isfinite(r_acc) else None)
-        eff_acc = acc.evaluable_upper()[0]
-    return acc
+        if K is not None:
+            vals = np.array([K(p) for p in grid]) * vals
+        acc = _stage_from_values(grid, vals, r_acc)
+        stages.append(acc)
+    return stages
 
 
 @dataclass(frozen=True)
@@ -335,15 +359,9 @@ class ZetaChain:
             raise ValueError("one chain stage per input envelope required")
         # each stage must stay inside the partial combined exponent
         order = self.inputs if not self.regime.reverse else tuple(reversed(self.inputs))
-        partial = []
-        s = 0.0
-        for env in order:
-            r = env.support.upper
-            if math.isfinite(r):
-                s += 1.0 / r
-            partial.append(math.inf if s == 0.0 else 1.0 / s)
-        for stage, bound_r in zip(self.stages, partial):
-            if stage.support.upper > bound_r * (1.0 + 1e-9):
+        uppers = [env.support.upper for env in order]
+        for k, stage in enumerate(self.stages):
+            if stage.support.upper > combined_exponent(uppers[: k + 1]) * (1.0 + 1e-9):
                 raise ValueError(
                     "chain stage support exceeds its partial combined exponent"
                 )
@@ -355,15 +373,6 @@ class ZetaChain:
     @property
     def depth(self) -> int:
         return len(self.stages)
-
-
-def _stage_from_values(grid: np.ndarray, vals: np.ndarray, upper: float) -> Tabulated:
-    if np.any(~np.isfinite(vals)) or np.any(vals <= 0):
-        raise ChainFeasibilityError(
-            "chain stage evaluated to a non-finite or non-positive value; the grid"
-            " must stay strictly inside the combined support"
-        )
-    return Tabulated(grid, vals, upper=upper if math.isfinite(upper) else None)
 
 
 def zeta_chain(
@@ -426,48 +435,26 @@ def zeta_chain(
             raise EnvelopeDomainError(
                 f"exponent grid must lie inside [1, {r_comb:.6g}) for this chain"
             )
-    p_max_hint = float(final_grid[-1])
 
     init_K = K_M if regime.tag in (MARTINGALE, VECTOR_INDEPENDENT) else K_I
-    pointwise = regime.tag in _PRODUCT_TAGS
-    d = len(order)
-
-    stages = []
-    if pointwise:
+    if regime.tag in _PRODUCT_TAGS:
         # pointwise-product recursion: every stage lives on the final grid
         km_vals = np.array([K_M(p) for p in final_grid])
         vals = np.array([init_K(p) * order[0](p) for p in final_grid])
-        stages.append(_stage_from_values(final_grid, vals, r_comb))
-        for m in range(1, d):
-            nu_vals = np.array([order[m](p) for p in final_grid])
-            vals = km_vals * vals * nu_vals
+        stages = [_stage_from_values(final_grid, vals, r_comb)]
+        for nu in order[1:]:
+            vals = km_vals * vals * np.array([nu(p) for p in final_grid])
             stages.append(_stage_from_values(final_grid, vals, r_comb))
     else:
         # composition recursion: stage m covers its partial combined exponent
-        r_acc = order[0].support.upper
-        eff_acc = order[0].evaluable_upper()[0]
-        if d == 1:
-            grid = final_grid
-        else:
-            grid = _stage_grid(eff_acc, r_acc, points, p_max_hint, final=False)
-        vals = np.array([init_K(p) * order[0](p) for p in grid])
-        stages.append(_stage_from_values(grid, vals, r_acc))
-        for m in range(1, d):
-            nxt = order[m]
-            r_acc = combined_exponent([r_acc, nxt.support.upper])
-            eff_acc = combined_exponent(
-                [stages[-1].evaluable_upper()[0], nxt.evaluable_upper()[0]]
-            )
-            last = m == d - 1
-            grid = (
-                final_grid
-                if last
-                else _stage_grid(eff_acc, r_acc, points, p_max_hint, final=False)
-            )
-            vals = np.array(
-                [K_M(p) * otimes(stages[-1], nxt, float(p)) for p in grid]
-            )
-            stages.append(_stage_from_values(grid, vals, r_acc))
+        first, r_first = order[0], order[0].support.upper
+        grid = final_grid
+        if len(order) > 1:
+            hint = float(final_grid[-1])
+            grid = _stage_grid(first.evaluable_upper()[0], r_first, points, hint, final=False)
+        vals = np.array([init_K(p) * first(p) for p in grid])
+        stages = [_stage_from_values(grid, vals, r_first)]
+        stages += _compose_stages(stages[0], r_first, order[1:], final_grid, points, K=K_M)
 
     return ZetaChain(tuple(stages), regime, tuple(nus), r_comb)
 

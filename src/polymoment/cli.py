@@ -47,7 +47,6 @@ from .envelope import (
     PowerSingularity,
     Product,
     Scaled,
-    SlowlyVarying,
     Tabulated,
 )
 from .mcverify import (
@@ -56,7 +55,12 @@ from .mcverify import (
     run_experiment,
     doob_experiment,
 )
-from .polymodel import model_from_config, save_samples
+from .polymodel import (
+    _slowvar_from_config,
+    iter_q_batches,
+    model_from_config,
+    save_samples,
+)
 from .tails import ConjugateSpec, tail_from_envelope
 
 _E = math.e
@@ -102,17 +106,6 @@ _FORM_KEYS = {
 }
 
 
-def _slowvar_from_cfg(cfg) -> SlowlyVarying:
-    if cfg is None:
-        return SlowlyVarying.constant(1.0)
-    kind = cfg.get("kind", "constant")
-    if kind == "constant":
-        return SlowlyVarying.constant(float(cfg.get("value", 1.0)))
-    if kind == "log_power":
-        return SlowlyVarying.log_power(float(cfg["kappa"]))
-    raise ConfigError(f"unknown slowly varying kind {kind!r}")
-
-
 def envelope_from_config(cfg: dict, named: Dict[str, MomentEnvelope]) -> MomentEnvelope:
     form = cfg.get("form")
     if form not in _FORM_KEYS:
@@ -127,14 +120,14 @@ def envelope_from_config(cfg: dict, named: Dict[str, MomentEnvelope]) -> MomentE
             r=float(cfg["r"]),
             power=float(cfg.get("power", 1.0)),
             scale=float(cfg.get("scale", 1.0)),
-            slowvar=_slowvar_from_cfg(cfg.get("slowvar")),
+            slowvar=_slowvar_from_config(cfg.get("slowvar")),
             lower=float(cfg.get("lower", 1.0)),
         )
     if form == "power_growth":
         return PowerGrowth(
             growth=float(cfg.get("growth", 0.5)),
             scale=float(cfg.get("scale", 1.0)),
-            slowvar=_slowvar_from_cfg(cfg.get("slowvar")),
+            slowvar=_slowvar_from_config(cfg.get("slowvar")),
             lower=float(cfg.get("lower", 1.0)),
         )
     if form == "tabulated":
@@ -334,10 +327,9 @@ def _run_scenario(args, simulate: bool) -> int:
     if csv_prefix:
         report.write_csv(csv_prefix)
     if simulate and out_cfg.get("samples"):
-        from .polymodel import sample_Q, sample_R
-
-        sampler = sample_R if model.multiplicities is not None else sample_Q
-        values = sampler(model, plan.seed, plan.replications)
+        # one value per replication of the sum the report checked, window included
+        batches = iter_q_batches(model, plan.seed, plan.replications, window=plan.window)
+        values = np.concatenate(list(batches))
         save_samples(out_cfg["samples"], values, out_cfg.get("samples_format", "f64"))
 
     for r in report.moment_rows:

@@ -53,7 +53,6 @@ __all__ = [
     "RegularVariationTail",
     "WeibullTail",
     "TabulatedTail",
-    "eval_envelope",
     "gls_norm",
     "natural_moments_pareto_power",
     "moments_from_tail",
@@ -371,11 +370,6 @@ class Product(MomentEnvelope):
                 return math.inf
             out *= v
         return out
-
-
-def eval_envelope(env: MomentEnvelope, p: float) -> float:
-    """Evaluate an envelope at exponent ``p`` (``+inf`` outside support)."""
-    return env(p)
 
 
 def tabulate_envelope(
@@ -716,14 +710,23 @@ def empirical_moments(
     if p <= 0.0:
         raise ValueError(f"moment order must be positive, got {p}")
     powers = np.abs(a) ** p
-    m = float(powers.mean())
-    nb = int(math.sqrt(a.size))
-    if nb >= 2:
-        batch_means = np.array([b.mean() for b in np.array_split(powers, nb)])
-        se_m = float(batch_means.std(ddof=1) / math.sqrt(nb))
-    else:
-        se_m = 0.0
+    batch_means = [b.mean() for b in np.array_split(powers, int(math.sqrt(a.size)))]
+    flagged = bool(tail_index is not None and p > 0.5 * tail_index)
+    return _moment_estimate(float(powers.mean()), batch_means, p, flagged)
+
+
+def _moment_estimate(
+    m: float, batch_means: Sequence[float], p: float, high_variance: bool = False
+) -> MomentEstimate:
+    """The p-th norm ``m^(1/p)`` of a power mean ``m`` with its batch-means error.
+
+    ``batch_means`` are per-batch estimates of ``m``, weighted equally.  The
+    standard error of ``m`` is their ddof=1 standard deviation over
+    sqrt(batches), or 0 with fewer than two batches; the delta method carries
+    it to the p-th root.
+    """
+    nb = len(batch_means)
+    se_m = float(np.asarray(batch_means).std(ddof=1) / math.sqrt(nb)) if nb >= 2 else 0.0
     value = m ** (1.0 / p) if m > 0 else 0.0
     se_value = se_m * value / (p * m) if m > 0 else 0.0
-    flagged = bool(tail_index is not None and p > 0.5 * tail_index)
-    return MomentEstimate(value, se_value, m, se_m, flagged)
+    return MomentEstimate(value, se_value, m, se_m, high_variance)

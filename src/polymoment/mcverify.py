@@ -34,7 +34,7 @@ from .calculus import (
     doob_maximal_envelope,
     zeta_chain,
 )
-from .envelope import MomentEnvelope, Scaled
+from .envelope import MomentEnvelope, Scaled, _moment_estimate
 from .polymodel import (
     CoefficientTensor,
     PolynomialModel,
@@ -318,20 +318,17 @@ def _moment_rows(plan: ExperimentPlan, stats: List[Dict], bound_env) -> List[Mom
     total = float(sum(s["count"] for s in stats))
     sums = np.sum([s["powers"] for s in stats], axis=0)
     batch_means = np.array([s["powers"] / s["count"] for s in stats])
-    nb = batch_means.shape[0]
     rows = []
     for j, p in enumerate(plan.p_grid):
         p = float(p)
         m = sums[j] / total
         if not math.isfinite(m):
             raise NumericFailure(f"non-finite power mean at p={p}")
-        se_m = float(batch_means[:, j].std(ddof=1) / math.sqrt(nb)) if nb >= 2 else 0.0
-        value = m ** (1.0 / p)
-        stderr = se_m * value / (p * m) if m > 0 else 0.0
+        est = _moment_estimate(m, batch_means[:, j], p)
         bound = float(bound_env(p))
-        ratio = value / bound if bound > 0 and math.isfinite(bound) else math.inf
-        passed = (value - 2.0 * stderr) <= bound
-        rows.append(MomentRow(p, value, stderr, bound, ratio, bool(passed)))
+        ratio = est.value / bound if bound > 0 and math.isfinite(bound) else math.inf
+        passed = (est.value - 2.0 * est.stderr) <= bound
+        rows.append(MomentRow(p, est.value, est.stderr, bound, ratio, bool(passed)))
     return rows
 
 
@@ -472,12 +469,9 @@ def convergence_diagnostics(
         done = target
         total = float(sum(batch_counts))
         m = sum(batch_sums) / total
-        means = np.array(batch_sums) / np.array(batch_counts)
-        nb = means.size
-        se_m = float(means.std(ddof=1) / math.sqrt(nb)) if nb >= 2 else 0.0
-        value = m ** (1.0 / p)
-        estimates.append(value)
-        stderrs.append(se_m * value / (p * m) if m > 0 else 0.0)
+        est = _moment_estimate(m, np.array(batch_sums) / np.array(batch_counts), p)
+        estimates.append(est.value)
+        stderrs.append(est.stderr)
 
     logs_n = np.log(np.array(schedule, dtype=float))
     logs_v = np.log(np.maximum(np.array(estimates), 1e-300))

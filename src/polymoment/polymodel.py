@@ -44,7 +44,7 @@ from .calculus import (
     DependenceRegime,
     combined_exponent,
 )
-from .envelope import SlowlyVarying, Tabulated
+from .envelope import MomentEstimate, SlowlyVarying, Tabulated, _moment_estimate
 from ._optim import chebyshev_grid
 
 __all__ = [
@@ -267,23 +267,13 @@ class InputDistribution:
         mu = self.mean()
         return m2 - mu * mu
 
-    def abs_central_moment(self, p: float) -> float:
-        """E |X - EX|^p, by atoms or quadrature with a kink breakpoint."""
-        at = self.atoms()
-        mu = self.mean()
-        if at is not None:
-            vals, probs = at
-            return float(np.sum(probs * np.abs(vals - mu) ** p))
-        if p >= self.moment_boundary:
-            return math.inf
-        return _survival_quad(self, p, loc=mu)
-
 
 def _survival_quad(
     dist: InputDistribution,
     p: float,
     loc: float = 0.0,
     signed: bool = False,
+    u_max: float = 1.0,
 ) -> float:
     """``E (X - loc)^p`` (signed) or ``E |X - loc|^p`` by quadrature.
 
@@ -291,11 +281,13 @@ def _survival_quad(
     which turns heavy-tail endpoint singularities at u -> 0 into smooth
     exponentially weighted integrands.  The power is combined with the
     exponential weight in log space so near-boundary exponents cannot
-    overflow before the weight is applied.
+    overflow before the weight is applied.  With ``u_max < 1`` only the
+    top-tail region u in (0, u_max) is integrated (u = u_max e^(-t)), which
+    gives the expectation restricted to the event {U < u_max}.
     """
 
     def f(t: float) -> float:
-        u = math.exp(-t)
+        u = u_max * math.exp(-t)
         if u == 0.0:
             # beyond float underflow the e^(-t) weight wins whenever the
             # moment exists at all
@@ -319,7 +311,7 @@ def _survival_quad(
     if loc != 0.0:
         # breakpoint where the integrand kinks (X crosses loc)
         def h(t: float) -> float:
-            u = math.exp(-t)
+            u = u_max * math.exp(-t)
             return float(dist.survival_quantile(np.array([u]))[0]) - loc
 
         try:
@@ -341,34 +333,11 @@ def _survival_quad(
         piece, _ = integrate.quad(
             f, breaks[-1], math.inf, epsabs=0.0, epsrel=1e-11, limit=400
         )
-    return total + piece
+    return u_max * (total + piece)
 
 
 class InfiniteMomentQuadError(OverflowError):
     pass
-
-
-def _tail_region_integral(dist: InputDistribution, p: float, u_max: float) -> float:
-    """Exact ``integral of |Q(u)|^p du`` over the top-tail region u in (0, u_max)."""
-
-    def f(t: float) -> float:
-        u = u_max * math.exp(-t)
-        if u == 0.0:
-            return 0.0
-        v = float(dist.survival_quantile(np.array([u]))[0])
-        mag = abs(v)
-        if mag == 0.0:
-            return 0.0
-        log_term = p * math.log(mag) - t
-        if log_term > 700.0:
-            raise InfiniteMomentQuadError(f"moment of order {p} diverges")
-        return math.exp(log_term)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        head, _ = integrate.quad(f, 0.0, 50.0, epsabs=0.0, epsrel=1e-11, limit=400)
-        rest, _ = integrate.quad(f, 50.0, math.inf, epsabs=0.0, epsrel=1e-11, limit=400)
-    return u_max * (head + rest)
 
 
 def stratified_moment(
@@ -377,36 +346,31 @@ def stratified_moment(
     replications: int,
     seed: int,
     top_fraction: float = 1e-3,
-) -> "MomentEstimate":
+) -> MomentEstimate:
     """Variance-reduced estimate of the p-th norm of a raw input variable.
 
     The top ``top_fraction`` of the survival-uniform range, which can carry
     most of a heavy moment and all of the estimator variance, is integrated
     exactly through the closed-form quantile; Monte Carlo covers only the
     bounded remainder, so batch-means error bars are trustworthy even for
-    orders close to the moment boundary.
+    orders close to the moment boundary.  The body uses about
+    sqrt(replications) batches; with fewer than two the stderr is 0.
     """
-    from .envelope import MomentEstimate
-
     p = float(p)
     if p >= dist.moment_boundary:
         raise ValueError(f"moment of order {p} diverges for {dist}")
     if not (0.0 < top_fraction < 1.0):
         raise ValueError("top_fraction must lie in (0, 1)")
+    if replications < 1:
+        raise ValueError(f"need at least one replication, got {replications}")
     delta = top_fraction
-    exact_tail = _tail_region_integral(dist, p, delta)
+    exact_tail = _survival_quad(dist, p, u_max=delta)
     gen = _stream(seed, 0)
     u = delta + (1.0 - delta) * gen.random(replications)
     body = np.abs(dist.survival_quantile(u)) ** p
-    body_mean = float(body.mean())
-    nb = max(2, int(math.sqrt(replications)))
-    batch_means = np.array([b.mean() for b in np.array_split(body, nb)])
-    body_se = float(batch_means.std(ddof=1) / math.sqrt(nb))
-    m = exact_tail + (1.0 - delta) * body_mean
-    se_m = (1.0 - delta) * body_se
-    value = m ** (1.0 / p)
-    se_value = se_m * value / (p * m) if m > 0 else 0.0
-    return MomentEstimate(value, se_value, m, se_m, False)
+    m = exact_tail + (1.0 - delta) * float(body.mean())
+    batches = np.array_split(body, int(math.sqrt(replications)))
+    return _moment_estimate(m, [(1.0 - delta) * b.mean() for b in batches], p)
 
 
 @dataclass(frozen=True)
@@ -1202,7 +1166,9 @@ def _slowvar_to_config(L: SlowlyVarying) -> dict:
     raise ValueError("custom slowly varying functions are not serialisable")
 
 
-def _slowvar_from_config(cfg: dict) -> SlowlyVarying:
+def _slowvar_from_config(cfg: Optional[dict]) -> SlowlyVarying:
+    if cfg is None:
+        return SlowlyVarying.constant(1.0)
     kind = cfg.get("kind", "constant")
     if kind == "constant":
         return SlowlyVarying.constant(float(cfg.get("value", 1.0)))

@@ -472,3 +472,157 @@ class TestHoelderAndSharpness:
             est = empirical_moments(xi * eta, p)
             want = natural_moments_pareto_power(6.0, p) * natural_moments_pareto_power(8.0, p)
             assert abs(est.value / want - 1.0) <= 4 * est.stderr / want + 0.02
+
+
+# ---------------------------------------------------------------------------
+# the composition fold against the two loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_otimes_chain(envs, p_grid=None, points=257, coarse=64):
+    """The left fold as its own loop (before otimes_chain shared the zeta fold)."""
+    from polymoment.calculus import _stage_grid
+
+    envs = list(envs)
+    if len(envs) == 1:
+        return envs[0]
+    uppers = [e.support.upper for e in envs]
+    final_grid = None if p_grid is None else np.asarray(p_grid, dtype=float)
+    p_max_hint = None if final_grid is None else float(final_grid[-1])
+    acc = envs[0]
+    r_acc = uppers[0]
+    eff_acc = acc.evaluable_upper()[0]
+    for k, nxt in enumerate(envs[1:], start=2):
+        r_acc = combined_exponent([r_acc, uppers[k - 1]])
+        eff_acc = combined_exponent([eff_acc, nxt.evaluable_upper()[0]])
+        last = k == len(envs)
+        if last and final_grid is not None:
+            grid = final_grid
+        else:
+            grid = _stage_grid(eff_acc, r_acc, points, p_max_hint, final=last)
+        vals = np.array([otimes(acc, nxt, float(p), coarse=coarse) for p in grid])
+        assert np.all(np.isfinite(vals))
+        acc = Tabulated(grid, vals, upper=r_acc if math.isfinite(r_acc) else None)
+        eff_acc = acc.evaluable_upper()[0]
+    return acc
+
+
+def ref_zeta_stages(regime, nus, points=257, p_grid=None):
+    """Stages of zeta_chain with its own composition loop, default growth constants."""
+    from polymoment.calculus import _PRODUCT_TAGS, _stage_grid
+
+    K_M = GrowthConstant.martingale()
+    K_I = GrowthConstant.independent()
+    nus = list(nus)
+    r_comb = combined_exponent([nu.support.upper for nu in nus])
+    order = nus if not regime.reverse else list(reversed(nus))
+    if regime.tag in _PRODUCT_TAGS:
+        eff_comb = combined_exponent([nu.evaluable_upper()[0] for nu in nus])
+    else:
+        eff_comb = order[0].evaluable_upper()[0]
+        for nu in order[1:]:
+            h = combined_exponent([eff_comb, nu.evaluable_upper()[0]])
+            eff_comb = 1.0 + (1.0 - 1e-6) * (h - 1.0) if math.isfinite(h) else h
+    if p_grid is None:
+        final_grid = _stage_grid(eff_comb, r_comb, points, None, final=True)
+    else:
+        final_grid = np.asarray(p_grid, dtype=float)
+    p_max_hint = float(final_grid[-1])
+    init_K = K_M if regime.tag in ("martingale", "vector_independent") else K_I
+    d = len(order)
+
+    def stage(grid, vals, upper):
+        if np.any(~np.isfinite(vals)) or np.any(vals <= 0):
+            raise ChainFeasibilityError("non-finite stage")
+        return Tabulated(grid, vals, upper=upper if math.isfinite(upper) else None)
+
+    stages = []
+    if regime.tag in _PRODUCT_TAGS:
+        km_vals = np.array([K_M(p) for p in final_grid])
+        vals = np.array([init_K(p) * order[0](p) for p in final_grid])
+        stages.append(stage(final_grid, vals, r_comb))
+        for m in range(1, d):
+            nu_vals = np.array([order[m](p) for p in final_grid])
+            vals = km_vals * vals * nu_vals
+            stages.append(stage(final_grid, vals, r_comb))
+        return stages
+    r_acc = order[0].support.upper
+    eff_acc = order[0].evaluable_upper()[0]
+    grid = final_grid if d == 1 else _stage_grid(eff_acc, r_acc, points, p_max_hint, final=False)
+    vals = np.array([init_K(p) * order[0](p) for p in grid])
+    stages.append(stage(grid, vals, r_acc))
+    for m in range(1, d):
+        nxt = order[m]
+        r_acc = combined_exponent([r_acc, nxt.support.upper])
+        eff_acc = combined_exponent([stages[-1].evaluable_upper()[0], nxt.evaluable_upper()[0]])
+        last = m == d - 1
+        grid = final_grid if last else _stage_grid(eff_acc, r_acc, points, p_max_hint, final=False)
+        vals = np.array([K_M(p) * otimes(stages[-1], nxt, float(p)) for p in grid])
+        stages.append(stage(grid, vals, r_acc))
+    return stages
+
+
+def assert_same_stage(got, want):
+    assert isinstance(got, Tabulated)
+    assert np.array_equal(got.p_grid, want.p_grid)
+    assert np.array_equal(got.values, want.values)
+    assert got.upper == want.upper
+    assert got.support == want.support
+
+
+def _natural_pareto(tag):
+    from polymoment import ParetoPower, natural_envelope
+
+    return natural_envelope(ParetoPower(r1=8.0), tag, points=33)
+
+
+FOLD_TAGS = ["martingale", "common_independent", "inside_independent", "vector_independent"]
+
+
+class TestCompositionFold:
+    """otimes_chain and every zeta_chain stage are bit-identical to the separate loops."""
+
+    @pytest.mark.parametrize("with_grid", [False, True])
+    def test_otimes_chain(self, with_grid):
+        envs = [
+            PowerGrowth(growth=0.5),
+            PowerSingularity(r=6.0, power=1.0 / 6.0),
+            _natural_pareto("martingale"),
+        ]
+        grid = np.linspace(1.0, 3.0, 9) if with_grid else None
+        got = otimes_chain(envs, p_grid=grid, points=33)
+        assert_same_stage(got, ref_otimes_chain(envs, p_grid=grid, points=33))
+        assert_same_stage(otimes_chain(envs[:2]), ref_otimes_chain(envs[:2]))
+
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    @pytest.mark.parametrize("tag", FOLD_TAGS)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_zeta_chain_stages(self, d, tag, direction):
+        # an infinite-support input first (forward) or last (reverse), and a
+        # natural envelope of sampled cells
+        inputs = [PowerGrowth(growth=0.5), PowerSingularity(r=6.0, power=1.0 / 6.0)]
+        inputs = inputs[: d - 1] + [_natural_pareto(tag)]
+        regime = DependenceRegime(tag, direction)
+        r_comb = combined_exponent([nu.support.upper for nu in inputs])
+        for grid in (None, np.linspace(1.0, 0.8 * r_comb, 7)):
+            try:
+                want = ref_zeta_stages(regime, inputs, points=33, p_grid=grid)
+            except ChainFeasibilityError:
+                # the default grid can outrun a tabulated infinite-support
+                # first stage; the fold must fail the same way
+                assert grid is None
+                with pytest.raises(ChainFeasibilityError):
+                    zeta_chain(regime, inputs, p_grid=grid, points=33)
+                continue
+            chain = zeta_chain(regime, inputs, p_grid=grid, points=33)
+            assert len(chain.stages) == len(want) == d
+            for got, ref in zip(chain.stages, want):
+                assert_same_stage(got, ref)
+
+    def test_zeta_chain_default_points_and_grid(self):
+        inputs = [PowerSingularity(r=6.0, power=1.0 / 6.0), _natural_pareto("martingale")]
+        regime = DependenceRegime("martingale", "forward")
+        for grid in (None, np.linspace(1.0, 3.0, 5)):
+            chain = zeta_chain(regime, inputs, p_grid=grid)
+            for got, ref in zip(chain.stages, ref_zeta_stages(regime, inputs, p_grid=grid)):
+                assert_same_stage(got, ref)

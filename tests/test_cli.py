@@ -283,3 +283,22 @@ class TestSimulateCommand:
         assert code == 0
         values = np.fromfile(tmp_path / "q.f64", dtype="<f8")
         assert values.size == 2000
+
+    def test_samples_follow_plan_window(self, capsys, tmp_path):
+        from polymoment.cli import load_config
+        from polymoment.polymodel import model_from_config, sample_Q, sample_reverse_V
+
+        cfg = load_config(None, "pareto_reverse_window")
+        assert cfg["plan"]["window"] == [2, 6]
+        reps, seed = 3000, 17
+        cfg["output"] = {"samples": str(tmp_path / "v.f64"), "samples_format": "f64"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, _, _ = run_cli(
+            capsys, "simulate", "--config", str(path), "--reps", str(reps), "--seed", str(seed)
+        )
+        assert code == 0
+        values = np.fromfile(tmp_path / "v.f64", dtype="<f8")
+        model = model_from_config(cfg["model"])
+        assert np.array_equal(values, sample_reverse_V(model, seed, reps, 2, 6))
+        assert not np.array_equal(values, sample_Q(model, seed, reps))

@@ -20,7 +20,6 @@ from polymoment import (
     WeibullTail,
     TabulatedTail,
     empirical_moments,
-    eval_envelope,
     gls_norm,
     moments_from_tail,
     natural_moments_pareto_power,
@@ -35,13 +34,13 @@ def pareto_norm(r1, p):
 
 class TestEvaluation:
     def test_indicator_on_support(self):
-        assert eval_envelope(Indicator(r=4), 3.0) == 1.0
+        assert Indicator(r=4)(3.0) == 1.0
 
     def test_indicator_beyond_support(self):
-        assert eval_envelope(Indicator(r=4), 4.5) == math.inf
+        assert Indicator(r=4)(4.5) == math.inf
 
     def test_indicator_closed_endpoint(self):
-        assert eval_envelope(Indicator(r=4), 4.0) == 1.0
+        assert Indicator(r=4)(4.0) == 1.0
 
     def test_power_singularity_unit_gap(self):
         env = PowerSingularity(r=6, power=1.0 / 6.0)

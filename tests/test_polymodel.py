@@ -723,3 +723,85 @@ class TestLogPerturbedPareto:
         report = run_experiment(plan)
         assert report.passed
         assert all(math.isfinite(r.empirical) and r.empirical > 0 for r in report.moment_rows)
+
+
+# ---------------------------------------------------------------------------
+# the survival quadrature's top-tail region and the stratified estimator
+# ---------------------------------------------------------------------------
+
+
+def ref_tail_region_integral(dist, p, u_max):
+    """Integral of |Q(u)|^p over u in (0, u_max), as a quadrature of its own."""
+    import warnings
+
+    from scipy import integrate
+
+    def f(t):
+        u = u_max * math.exp(-t)
+        if u == 0.0:
+            return 0.0
+        mag = abs(float(dist.survival_quantile(np.array([u]))[0]))
+        if mag == 0.0:
+            return 0.0
+        return math.exp(p * math.log(mag) - t)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        head, _ = integrate.quad(f, 0.0, 50.0, epsabs=0.0, epsrel=1e-11, limit=400)
+        rest, _ = integrate.quad(f, 50.0, math.inf, epsabs=0.0, epsrel=1e-11, limit=400)
+    return u_max * (head + rest)
+
+
+def ref_stratified(dist, p, reps, seed, delta=1e-3):
+    """(value, stderr, power_mean, power_mean_stderr) with at least two body batches."""
+    exact_tail = ref_tail_region_integral(dist, p, delta)
+    u = delta + (1.0 - delta) * _stream(seed, 0).random(reps)
+    body = np.abs(dist.survival_quantile(u)) ** p
+    nb = max(2, int(math.sqrt(reps)))
+    batch_means = np.array([b.mean() for b in np.array_split(body, nb)])
+    m = exact_tail + (1.0 - delta) * float(body.mean())
+    se_m = (1.0 - delta) * float(batch_means.std(ddof=1) / math.sqrt(nb))
+    value = m ** (1.0 / p)
+    return value, se_m * value / (p * m), m, se_m
+
+
+STRATIFIED_DISTS = [
+    ParetoPower(6.0),
+    LogPerturbedPareto(r=5.0, kappa=0.5, slowvar=SlowlyVarying.log_power(1.0)),
+]
+
+
+class TestStratifiedMoment:
+    @pytest.mark.parametrize("dist", STRATIFIED_DISTS)
+    def test_survival_quad_top_region(self, dist):
+        from polymoment.polymodel import _survival_quad
+
+        for p in (1.5, 4.0):
+            assert _survival_quad(dist, p, u_max=1e-3) == ref_tail_region_integral(dist, p, 1e-3)
+
+    def test_zero_replications_rejected(self):
+        from polymoment import stratified_moment
+
+        with pytest.raises(ValueError):
+            stratified_moment(ParetoPower(6.0), 2.0, 0, 1)
+
+    def test_one_replication_has_zero_stderr(self):
+        import warnings
+
+        from polymoment import stratified_moment
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = stratified_moment(ParetoPower(6.0), 2.0, 1, 1)
+        assert math.isfinite(est.value) and est.value > 0
+        assert est.stderr == 0.0 and est.power_mean_stderr == 0.0
+
+    @pytest.mark.parametrize("reps", [4, 10000])
+    @pytest.mark.parametrize("dist", STRATIFIED_DISTS)
+    def test_matches_two_batch_reference(self, dist, reps):
+        from polymoment import stratified_moment
+
+        est = stratified_moment(dist, 2.5, reps, 3)
+        want = ref_stratified(dist, 2.5, reps, 3)
+        for got, ref in zip((est.value, est.stderr, est.power_mean, est.power_mean_stderr), want):
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
