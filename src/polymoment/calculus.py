@@ -235,6 +235,10 @@ def otimes(
     return res if full_output else res.value
 
 
+# smallest end of a growth (infinite-exponent) stage grid
+_GROWTH_GRID_END = 64.0
+
+
 def _stage_grid(
     eff_upper: float,
     declared_upper: float,
@@ -258,12 +262,12 @@ def _stage_grid(
         else:
             hi = tight
         return chebyshev_grid(1.0, hi, points)
-    base = p_max_hint if p_max_hint is not None else 64.0
+    base = p_max_hint if p_max_hint is not None else _GROWTH_GRID_END
     if final:
-        return chebyshev_grid(1.0, 64.0, points)
+        return chebyshev_grid(1.0, _GROWTH_GRID_END, points)
     # growth stages span a wide headroom range; densify to keep the
     # log-interpolation error small where later stages will query them
-    return chebyshev_grid(1.0, max(64.0, 16.0 * base), 4 * points - 3)
+    return chebyshev_grid(1.0, max(_GROWTH_GRID_END, 16.0 * base), 4 * points - 3)
 
 
 def otimes_chain(
@@ -421,6 +425,9 @@ def zeta_chain(
         eff_comb = combined_exponent([nu.evaluable_upper()[0] for nu in nus])
     else:
         eff_comb = order[0].evaluable_upper()[0]
+        if math.isinf(eff_comb) and math.isfinite(r_comb):
+            # a growth first factor is tabulated up to its grid end, no further
+            eff_comb = _GROWTH_GRID_END
         for nu in order[1:]:
             h = combined_exponent([eff_comb, nu.evaluable_upper()[0]])
             eff_comb = 1.0 + (1.0 - 1e-6) * (h - 1.0) if math.isfinite(h) else h
@@ -431,9 +438,9 @@ def zeta_chain(
         final_grid = np.asarray(p_grid, dtype=float)
         if final_grid.size == 0:
             raise ValueError("empty exponent grid")
-        if final_grid[0] < 1.0 or final_grid[-1] >= r_comb:
+        if final_grid[0] < 1.0 or final_grid[-1] >= r_comb or np.any(np.diff(final_grid) <= 0):
             raise EnvelopeDomainError(
-                f"exponent grid must lie inside [1, {r_comb:.6g}) for this chain"
+                f"exponent grid must increase strictly inside [1, {r_comb:.6g}) for this chain"
             )
 
     init_K = K_M if regime.tag in (MARTINGALE, VECTOR_INDEPENDENT) else K_I

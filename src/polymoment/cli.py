@@ -11,8 +11,9 @@ Five subcommands:
 Scenarios are JSON documents (see the bundled files under
 ``polymoment/scenarios/``); everything structured lives in the config file,
 flags cover only grids, seeds, paths and thread counts.  Exit codes: 0 all
-hard dominance checks pass, 2 configuration or file errors, 3 dominance
-violation, 4 numeric failure.
+hard dominance checks pass, 2 configuration, domain, infeasible-chain or file
+errors, 3 dominance violation, 4 numeric failure.  Any other exception is a
+bug and propagates with its traceback.
 
 Built-in envelope names (used when no config defines the name):
 ``ind<r>`` an indicator envelope with edge r, ``pgrow<digits>`` a power
@@ -23,6 +24,7 @@ mu = 0.5), and ``ps_r<r>`` the Pareto-power singularity (r - p)^(-1/r).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -56,7 +58,15 @@ from .mcverify import (
     doob_experiment,
 )
 from .polymodel import (
-    _slowvar_from_config,
+    SAMPLE_FORMATS,
+    ConfigError,
+    check_keys,
+    config_build,
+    config_call,
+    config_list,
+    config_select,
+    config_value,
+    field_types,
     iter_q_batches,
     model_from_config,
     save_samples,
@@ -65,12 +75,8 @@ from .tails import ConjugateSpec, tail_from_envelope
 
 _E = math.e
 
-_CONFIG_KEYS = {"name", "envelopes", "model", "plan", "output"}
-_OUTPUT_KEYS = {"json", "csv_prefix", "samples", "samples_format"}
-
-
-class ConfigError(ValueError):
-    pass
+_CONFIG_TYPES = {"name": str, "envelopes": dict, "model": dict, "plan": dict, "output": dict}
+_OUTPUT_TYPES = dict.fromkeys(("json", "csv_prefix", "samples", "samples_format"), str)
 
 
 # ---------------------------------------------------------------------------
@@ -91,63 +97,49 @@ _BUILTINS = [
         lambda m: PowerGrowth(growth=_digits_to_float(m.group(1))),
     ),
     (
+        # r <= 1 leaves an empty support, which resolve_envelope rejects
         re.compile(r"^ps_r(\d+(?:\.\d+)?)$"),
-        lambda m: PowerSingularity(r=float(m.group(1)), power=1.0 / float(m.group(1))),
+        lambda m: PowerSingularity(r=float(m.group(1)), power=1.0 / max(float(m.group(1)), 1.0)),
     ),
 ]
 
-_FORM_KEYS = {
-    "indicator": {"form", "r", "lower"},
-    "power_singularity": {"form", "r", "power", "scale", "slowvar", "lower"},
-    "power_growth": {"form", "growth", "scale", "slowvar", "lower"},
-    "tabulated": {"form", "p_grid", "values", "upper", "upper_closed"},
-    "scaled": {"form", "inner", "factor"},
-    "product": {"form", "factors"},
+# form -> (class, required keys); the other keys are the class's fields
+_FORMS = {
+    "indicator": (Indicator, ("r",)),
+    "power_singularity": (PowerSingularity, ("r",)),
+    "power_growth": (PowerGrowth, ()),
+    "tabulated": (Tabulated, ("p_grid", "values")),
+    "scaled": (Scaled, ("inner", "factor")),
+    "product": (Product, ("factors",)),
 }
 
 
-def envelope_from_config(cfg: dict, named: Dict[str, MomentEnvelope]) -> MomentEnvelope:
-    form = cfg.get("form")
-    if form not in _FORM_KEYS:
-        raise ConfigError(f"unknown envelope form {form!r}")
-    unknown = set(cfg) - _FORM_KEYS[form]
-    if unknown:
-        raise ConfigError(f"unknown keys for {form}: {sorted(unknown)}")
-    if form == "indicator":
-        return Indicator(r=float(cfg["r"]), lower=float(cfg.get("lower", 1.0)))
-    if form == "power_singularity":
-        return PowerSingularity(
-            r=float(cfg["r"]),
-            power=float(cfg.get("power", 1.0)),
-            scale=float(cfg.get("scale", 1.0)),
-            slowvar=_slowvar_from_config(cfg.get("slowvar")),
-            lower=float(cfg.get("lower", 1.0)),
-        )
-    if form == "power_growth":
-        return PowerGrowth(
-            growth=float(cfg.get("growth", 0.5)),
-            scale=float(cfg.get("scale", 1.0)),
-            slowvar=_slowvar_from_config(cfg.get("slowvar")),
-            lower=float(cfg.get("lower", 1.0)),
-        )
-    if form == "tabulated":
-        return Tabulated(
-            np.asarray(cfg["p_grid"], dtype=float),
-            np.asarray(cfg["values"], dtype=float),
-            upper=cfg.get("upper"),
-            upper_closed=bool(cfg.get("upper_closed", True)),
-        )
-    if form == "scaled":
-        inner = _resolve_ref(cfg["inner"], named)
-        return Scaled(inner, float(cfg["factor"]))
-    factors = tuple(_resolve_ref(f, named) for f in cfg["factors"])
-    return Product(factors)
+def envelope_from_config(
+    cfg: dict, named: Dict[str, MomentEnvelope], where: str = "envelope"
+) -> MomentEnvelope:
+    def ref(value, path):
+        if isinstance(value, str):
+            return resolve_envelope(value, named)
+        return envelope_from_config(value, named, path)
+
+    parsers = {
+        "inner": ref,
+        "factors": lambda v, w: tuple(config_list(v, w, ref)),
+        "p_grid": lambda v, w: config_list(v, w, float),
+        "values": lambda v, w: config_list(v, w, float),
+        "upper": lambda v, w: None if v is None else config_value(v, w, float),
+    }
+    kinds = {
+        form: (cls, {k: parsers.get(k, t) for k, t in field_types(cls).items()}, required)
+        for form, (cls, required) in _FORMS.items()
+    }
+    return _checked(where, config_select(cfg, where, kinds, key="form"))
 
 
-def _resolve_ref(ref, named: Dict[str, MomentEnvelope]) -> MomentEnvelope:
-    if isinstance(ref, str):
-        return resolve_envelope(ref, named)
-    return envelope_from_config(ref, named)
+def _checked(where: str, env: MomentEnvelope) -> MomentEnvelope:
+    # supports check their endpoints only when first asked for
+    config_build(where, lambda: env.support)
+    return env
 
 
 def resolve_envelope(name: str, named: Dict[str, MomentEnvelope]) -> MomentEnvelope:
@@ -156,19 +148,19 @@ def resolve_envelope(name: str, named: Dict[str, MomentEnvelope]) -> MomentEnvel
     for pattern, build in _BUILTINS:
         m = pattern.match(name)
         if m:
-            return build(m)
+            return _checked(name, build(m))
     raise ConfigError(
         f"unresolved envelope name {name!r}; define it in the config or use a"
         " built-in pattern (ind<r>, pgrow<digits>, ps_r<r>)"
     )
 
 
-def _named_envelopes(config: Optional[dict]) -> Dict[str, MomentEnvelope]:
+def _named_envelopes(args) -> Dict[str, MomentEnvelope]:
+    """The envelopes that the ``--config`` file defines, if one is given."""
+    config = load_config(args.config, None) if args.config else {}
     named: Dict[str, MomentEnvelope] = {}
-    if not config:
-        return named
     for name, cfg in config.get("envelopes", {}).items():
-        named[name] = envelope_from_config(cfg, named)
+        named[name] = envelope_from_config(cfg, named, f"envelopes.{name}")
     return named
 
 
@@ -191,28 +183,28 @@ def load_config(path: Optional[str], scenario: Optional[str]) -> dict:
             raise ConfigError(f"unknown scenario {scenario!r}; bundled: {available}")
         text = res.read_text()
     else:
-        with open(path) as fh:  # FileNotFoundError -> exit 2
+        with open(path, "rb") as fh:  # OSError -> exit 2
             text = fh.read()
     try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
+        cfg = config_call(dict, json.loads(text), "config", _CONFIG_TYPES)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
-    unknown = set(cfg) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
-    out_cfg = cfg.get("output", {})
-    unknown = set(out_cfg) - _OUTPUT_KEYS
-    if unknown:
-        raise ConfigError(f"unknown output keys: {sorted(unknown)}")
+    output = config_call(dict, cfg.get("output", {}), "output", _OUTPUT_TYPES)
+    fmt = output.get("samples_format", "f64")
+    if fmt not in SAMPLE_FORMATS:
+        raise ConfigError(f"output.samples_format must be one of {SAMPLE_FORMATS}, got {fmt!r}")
     return cfg
 
 
 def _parse_grid(spec: str) -> np.ndarray:
     """Parse 'lo:hi:n' into a linspace or a comma list into an array."""
-    if ":" in spec:
-        lo, hi, num = spec.split(":")
-        return np.linspace(float(lo), float(hi), int(num))
-    return np.asarray([float(v) for v in spec.split(",")], dtype=float)
+    try:
+        if ":" in spec:
+            lo, hi, num = spec.split(":")
+            return np.linspace(float(lo), float(hi), int(num))
+        return np.asarray([float(v) for v in spec.split(",")], dtype=float)
+    except ValueError:
+        raise ConfigError(f"invalid grid {spec!r}; use a comma list or lo:hi:n") from None
 
 
 def _fmt(v: float) -> str:
@@ -235,48 +227,29 @@ def _emit(lines: List[str], out: Optional[str]) -> None:
 
 
 def cmd_envelope(args) -> int:
-    config = load_config(args.config, None) if args.config else None
-    named = _named_envelopes(config)
+    named = _named_envelopes(args)
+    ps = _parse_grid(args.p)
     if args.action == "eval":
         env = resolve_envelope(args.name, named)
-        ps = _parse_grid(args.p)
-        lines = ["p,value"]
+        lines = ["p,value"] + [f"{_fmt(p)},{_fmt(env(float(p)))}" for p in ps]
+    else:
+        env_a, env_b = resolve_envelope(args.a, named), resolve_envelope(args.b, named)
+        lines = ["p,value,split"]
         for p in ps:
-            try:
-                v = env(float(p))
-            except EnvelopeDomainError as exc:
-                raise ConfigError(str(exc)) from exc
-            lines.append(f"{_fmt(p)},{_fmt(v)}")
-        _emit(lines, args.out)
-        return 0
-    # otimes
-    env_a = resolve_envelope(args.a, named)
-    env_b = resolve_envelope(args.b, named)
-    ps = _parse_grid(args.p)
-    lines = ["p,value,split"]
-    for p in ps:
-        res = otimes(env_a, env_b, float(p), full_output=True)
-        lines.append(f"{_fmt(p)},{_fmt(res.value)},{_fmt(res.split)}")
+            res = otimes(env_a, env_b, float(p), full_output=True)
+            lines.append(f"{_fmt(p)},{_fmt(res.value)},{_fmt(res.split)}")
     _emit(lines, args.out)
     return 0
 
 
 def cmd_zeta(args) -> int:
-    config = load_config(args.config, None) if args.config else None
-    named = _named_envelopes(config)
+    named = _named_envelopes(args)
     inputs = [resolve_envelope(name.strip(), named) for name in args.inputs.split(",")]
     regime = DependenceRegime(args.regime, args.direction)
-    if args.grid:
-        grid = _parse_grid(args.grid)
-    else:
-        grid = None
-    if grid is not None and np.asarray(grid).size < 2:
-        # single-exponent query: build on the default grid, evaluate at p
-        chain = zeta_chain(regime, inputs)
-        out_grid = np.asarray(grid, dtype=float)
-    else:
-        chain = zeta_chain(regime, inputs, p_grid=grid)
-        out_grid = chain.stages[-1].p_grid if grid is None else np.asarray(grid, dtype=float)
+    grid = _parse_grid(args.grid) if args.grid else None
+    # a single exponent is evaluated on a chain built on the default grid
+    chain = zeta_chain(regime, inputs, p_grid=grid if grid is not None and grid.size > 1 else None)
+    out_grid = chain.bound.p_grid if grid is None else grid
     header = "p," + ",".join(f"zeta_{k + 1}" for k in range(chain.depth))
     lines = [header]
     for p in out_grid:
@@ -289,9 +262,10 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_tail(args) -> int:
-    config = load_config(args.config, None) if args.config else None
-    named = _named_envelopes(config)
+    named = _named_envelopes(args)
     env = resolve_envelope(args.name, named)
+    if not args.norm_factor > 0:
+        raise ConfigError(f"--norm-factor must be positive, got {args.norm_factor:g}")
     spec = ConjugateSpec(env, norm_factor=args.norm_factor)
     xs = _parse_grid(args.x)
     lines = ["x,value,note"]
@@ -304,7 +278,7 @@ def cmd_tail(args) -> int:
 
 
 def _run_scenario(args, simulate: bool) -> int:
-    cfg = load_config(args.config, args.scenario)
+    cfg = check_keys(load_config(args.config, args.scenario), "config", _CONFIG_TYPES, ["model"])
     model = model_from_config(cfg["model"])
     plan_cfg = dict(cfg.get("plan", {}))
     if args.seed is not None:
@@ -313,7 +287,11 @@ def _run_scenario(args, simulate: bool) -> int:
         plan_cfg["replications"] = args.reps
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get("POLYMOMENT_THREADS", "1"))
+        env = os.environ.get("POLYMOMENT_THREADS", "1")
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ConfigError(f"POLYMOMENT_THREADS must be an integer, got {env!r}") from None
     plan_cfg["threads"] = threads
     plan = plan_from_config(plan_cfg, model)
 
@@ -348,14 +326,6 @@ def _run_scenario(args, simulate: bool) -> int:
         print(f"tail rescale constant: {report.metadata['tail_rescale']:.6g}")
     print("dominance:", "PASS" if report.passed else "VIOLATION")
     return 0 if report.passed else 3
-
-
-def cmd_simulate(args) -> int:
-    return _run_scenario(args, simulate=True)
-
-
-def cmd_verify(args) -> int:
-    return _run_scenario(args, simulate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tail.add_argument("--out")
     p_tail.set_defaults(func=cmd_tail)
 
-    for name, fn, help_text in (
-        ("simulate", cmd_simulate, "run a scenario and export reports plus raw samples"),
-        ("verify", cmd_verify, "run a scenario and gate the exit code on dominance"),
+    for name, help_text in (
+        ("simulate", "run a scenario and export reports plus raw samples"),
+        ("verify", "run a scenario and gate the exit code on dominance"),
     ):
         p_run = sub.add_parser(name, help=help_text)
         p_run.add_argument("--config", help="scenario JSON path")
@@ -418,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_run.add_argument("--reps", type=int)
         p_run.add_argument("--threads", type=int, help="worker threads (default: POLYMOMENT_THREADS or 1)")
         p_run.add_argument("--out", help="output prefix for report JSON/CSV")
-        p_run.set_defaults(func=fn)
+        p_run.set_defaults(func=functools.partial(_run_scenario, simulate=name == "simulate"))
 
     return parser
 
@@ -431,7 +401,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NumericFailure, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, ChainFeasibilityError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (ConfigError, EnvelopeDomainError, ChainFeasibilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -116,10 +116,10 @@ class SlowlyVarying:
     fn: Optional[Callable[[float], float]] = None
 
     @classmethod
-    def constant(cls, c: float = 1.0) -> "SlowlyVarying":
-        if not (c > 0):
+    def constant(cls, value: float = 1.0) -> "SlowlyVarying":
+        if not (value > 0):
             raise ValueError("constant slowly varying function must be positive")
-        return cls(kind="constant", value=c)
+        return cls(kind="constant", value=value)
 
     @classmethod
     def log_power(cls, kappa: float) -> "SlowlyVarying":

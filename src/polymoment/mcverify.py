@@ -17,6 +17,7 @@ bit-identical result sections.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -32,6 +33,7 @@ from .calculus import (
     GrowthConstant,
     ZetaChain,
     doob_maximal_envelope,
+    polynomial_dominant_envelope,
     zeta_chain,
 )
 from .envelope import MomentEnvelope, Scaled, _moment_estimate
@@ -40,9 +42,13 @@ from .polymodel import (
     PolynomialModel,
     Sampler,
     _stream,
+    _window,
     batch_plan,
+    check_keys,
+    config_call,
+    config_list,
+    config_select,
     enumerate_indices,
-    model_from_config,
     model_to_config,
     natural_envelope,
     tuple_products,
@@ -140,13 +146,17 @@ class ExperimentPlan:
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
+        if not self.tail_norm_factor > 0:
+            raise ValueError(f"tail_norm_factor must be positive, got {self.tail_norm_factor}")
         if self.window is not None:
-            object.__setattr__(self, "window", (int(self.window[0]), int(self.window[1])))
+            object.__setattr__(self, "window", _window(self.model, self.window))
         grid = np.asarray(self.p_grid, dtype=float)
         if grid.size == 0:
             raise ValueError("empty exponent grid")
         object.__setattr__(self, "p_grid", grid)
         object.__setattr__(self, "x_grid", tuple(float(x) for x in self.x_grid))
+        if not all(x > 0 for x in self.x_grid):
+            raise ValueError(f"tail thresholds must be positive, got {list(self.x_grid)}")
         if self.experiment not in ("standard", "doob"):
             raise ValueError("experiment must be 'standard' or 'doob'")
         if self.experiment == "doob" and grid.min() <= 1.0:
@@ -215,27 +225,8 @@ class VerificationReport:
             "tails_passed": self.tails_passed,
             "metadata": self.metadata,
             "config": self.config,
-            "moments": [
-                {
-                    "p": r.p,
-                    "empirical": r.empirical,
-                    "stderr": r.stderr,
-                    "bound": r.bound,
-                    "ratio": r.ratio,
-                    "pass": r.passed,
-                }
-                for r in self.moment_rows
-            ],
-            "tails": [
-                {
-                    "x": r.x,
-                    "empirical": r.empirical,
-                    "stderr": r.stderr,
-                    "bound": r.bound,
-                    "pass": r.passed,
-                }
-                for r in self.tail_rows
-            ],
+            "moments": [dict(zip(_columns(r), r)) for r in self.moment_rows],
+            "tails": [dict(zip(_columns(r), r)) for r in self.tail_rows],
             "sweep": self.sweep,
         }
 
@@ -245,27 +236,22 @@ class VerificationReport:
             fh.write("\n")
 
     def write_csv(self, prefix: str) -> List[str]:
+        """``PREFIX_moments.csv`` and, when there are tail rows, ``PREFIX_tails.csv``."""
         paths = []
-        mpath = f"{prefix}_moments.csv"
-        with open(mpath, "w") as fh:
-            fh.write("p,empirical,stderr,bound,ratio,pass\n")
-            for r in self.moment_rows:
-                fh.write(
-                    f"{r.p:.17g},{r.empirical:.17g},{r.stderr:.17g},"
-                    f"{r.bound:.17g},{r.ratio:.17g},{int(r.passed)}\n"
-                )
-        paths.append(mpath)
-        if self.tail_rows:
-            tpath = f"{prefix}_tails.csv"
-            with open(tpath, "w") as fh:
-                fh.write("x,empirical,stderr,bound,pass\n")
-                for r in self.tail_rows:
-                    fh.write(
-                        f"{r.x:.17g},{r.empirical:.17g},{r.stderr:.17g},"
-                        f"{r.bound:.17g},{int(r.passed)}\n"
-                    )
-            paths.append(tpath)
+        for name, rows in (("moments", self.moment_rows), ("tails", self.tail_rows)):
+            if rows:
+                paths.append(f"{prefix}_{name}.csv")
+                with open(paths[-1], "w") as fh:
+                    fh.write(",".join(_columns(rows[0])) + "\n")
+                    for r in rows:
+                        cells = (str(int(v)) if isinstance(v, bool) else f"{v:.17g}" for v in r)
+                        fh.write(",".join(cells) + "\n")
         return paths
+
+
+def _columns(row: NamedTuple) -> List[str]:
+    """Report column names: the row's fields, with ``passed`` written as ``pass``."""
+    return ["pass" if f == "passed" else f for f in row._fields]
 
 
 def _sweep_tensors(model: PolynomialModel, count: int, seed: int):
@@ -487,101 +473,76 @@ def convergence_diagnostics(
 # plan (de)serialisation shared with the CLI
 # ---------------------------------------------------------------------------
 
-_PLAN_KEYS = {
-    "replications",
-    "p_grid",
-    "x_grid",
-    "bound",
-    "tail_norm_factor",
-    "fit_tail_rescale",
-    "seed",
-    "b_sweep",
-    "threads",
-    "experiment",
-    "window",
-}
-
 
 def _grid_from_config(cfg, model: PolynomialModel) -> np.ndarray:
     if isinstance(cfg, (list, tuple)):
-        return np.asarray(cfg, dtype=float)
-    if isinstance(cfg, dict):
-        kind = cfg.get("kind", "auto")
-        if kind == "auto":
-            return auto_p_grid(
-                model, points=int(cfg.get("points", 5)), frac=float(cfg.get("frac", 0.9))
-            )
-        if kind == "linspace":
-            return np.linspace(float(cfg["lo"]), float(cfg["hi"]), int(cfg["num"]))
-        raise ValueError(f"unknown grid kind {kind!r}")
-    raise ValueError("p_grid must be a list or a grid specification object")
+        return np.asarray(config_list(cfg, "plan.p_grid", float), dtype=float)
+    kinds = {
+        "auto": (functools.partial(auto_p_grid, model), {"points": int, "frac": float}, ()),
+        "linspace": (
+            lambda lo, hi, num: np.linspace(lo, hi, num),
+            {"lo": float, "hi": float, "num": int},
+            ("lo", "hi", "num"),
+        ),
+    }
+    return config_select(cfg, "plan.p_grid", kinds, "auto")
 
 
-def _bound_from_config(cfg: Optional[dict], model: PolynomialModel, p_grid):
-    cfg = dict(cfg or {"kind": "zeta_natural"})
-    kind = cfg.get("kind", "zeta_natural")
-    if kind == "zeta_natural":
-        unknown = set(cfg) - {"kind", "scale", "points"}
-        if unknown:
-            raise ValueError(f"unknown bound keys: {sorted(unknown)}")
-        scale = float(cfg.get("scale", 1.0))
-        points = int(cfg.get("points", 257))
-        return natural_zeta_chain(model, points=points, scale=scale), cfg
-    if kind == "dominant":
-        unknown = set(cfg) - {"kind", "scale", "tails", "points"}
-        if unknown:
-            raise ValueError(f"unknown bound keys: {sorted(unknown)}")
-        from .calculus import polynomial_dominant_envelope
+def _bound_from_config(cfg: dict, model: PolynomialModel):
+    """The plan's bound; each kind returns a builder, so a chain is built outside config_build."""
 
-        tails = cfg.get("tails")
-        if tails is None:
-            raise ValueError("dominant bound requires explicit 'tails': [[r, gamma], ...]")
-        params = [(float(r), float(g)) for r, g in tails]
-        env = polynomial_dominant_envelope(
-            params,
-            model.d,
-            scale=float(cfg.get("scale", 1.0)),
-            points=int(cfg.get("points", 129)),
-        )
-        return env, cfg
-    raise ValueError(f"unknown bound kind {kind!r}; use 'zeta_natural' or 'dominant'")
+    def zeta_natural(scale=1.0, points=257):
+        if not (scale > 0 and points >= 2):
+            raise ValueError(f"need scale > 0 and points >= 2, got {scale} and {points}")
+        if model.multiplicities is not None:
+            raise ValueError("zeta_natural needs a multilinear model; use dominant")
+        return lambda: natural_zeta_chain(model, points=points, scale=scale)
+
+    def dominant(tails, scale=1.0, points=129):
+        env = polynomial_dominant_envelope(tails, model.d, scale=scale, points=points)
+        return lambda: env
+
+    def tails(value, where):
+        return config_list(value, where, lambda t, w: tuple(config_list(t, w, float, length=2)))
+
+    kinds = {
+        "zeta_natural": (zeta_natural, {"scale": float, "points": int}, ()),
+        "dominant": (dominant, {"scale": float, "points": int, "tails": tails}, ("tails",)),
+    }
+    return config_select(cfg, "plan.bound", kinds, "zeta_natural")()
+
+
+def _plan_types(model: PolynomialModel) -> dict:
+    """The config type of each plan key, in the order plan_to_config writes them."""
+    return {
+        "replications": int,
+        "p_grid": lambda v, w: _grid_from_config(v, model),
+        "x_grid": lambda v, w: config_list(v, w, float),
+        "bound": lambda v, w: _bound_from_config(v, model),
+        "tail_norm_factor": float, "fit_tail_rescale": bool, "seed": int, "b_sweep": int,
+        "threads": int, "experiment": str,
+        "window": lambda v, w: config_list(v, w, int, length=2),
+    }
 
 
 def plan_from_config(cfg: dict, model: PolynomialModel) -> ExperimentPlan:
-    unknown = set(cfg) - _PLAN_KEYS
-    if unknown:
-        raise ValueError(f"unknown plan keys: {sorted(unknown)}")
-    p_grid = _grid_from_config(cfg.get("p_grid", {"kind": "auto"}), model)
-    bound, bound_cfg = _bound_from_config(cfg.get("bound"), model, p_grid)
-    window = cfg.get("window")
-    return ExperimentPlan(
-        model=model,
-        replications=int(cfg.get("replications", 10000)),
-        p_grid=p_grid,
-        bound=bound,
-        x_grid=tuple(cfg.get("x_grid", ())),
-        tail_norm_factor=float(cfg.get("tail_norm_factor", 1.0)),
-        fit_tail_rescale=bool(cfg.get("fit_tail_rescale", True)),
-        seed=int(cfg.get("seed", 0)),
-        b_sweep=int(cfg.get("b_sweep", 0)),
-        threads=int(cfg.get("threads", 1)),
-        experiment=cfg.get("experiment", "standard"),
-        window=tuple(window) if window else None,
-        bound_config=bound_cfg,
-    )
+    types = _plan_types(model)
+    given = {k: v for k, v in check_keys(cfg, "plan", types).items() if v is not None}
+    defaults = {"replications": 10000, "p_grid": {"kind": "auto"}, "bound": {"kind": "zeta_natural"}}
+    cfg = {**defaults, **given}
+
+    def plan(**kwargs):
+        return ExperimentPlan(model=model, bound_config=dict(cfg["bound"]), **kwargs)
+
+    return config_call(plan, cfg, "plan", types)
 
 
 def plan_to_config(plan: ExperimentPlan) -> dict:
-    return {
-        "replications": plan.replications,
-        "p_grid": [float(p) for p in plan.p_grid],
-        "x_grid": list(plan.x_grid),
-        "bound": plan.bound_config or {"kind": "zeta_natural"},
-        "tail_norm_factor": plan.tail_norm_factor,
-        "fit_tail_rescale": plan.fit_tail_rescale,
-        "seed": plan.seed,
-        "b_sweep": plan.b_sweep,
-        "threads": plan.threads,
-        "experiment": plan.experiment,
-        "window": list(plan.window) if plan.window else None,
-    }
+    cfg = {key: getattr(plan, key) for key in _plan_types(plan.model)}
+    cfg.update(
+        p_grid=[float(p) for p in plan.p_grid],
+        x_grid=list(plan.x_grid),
+        bound=plan.bound_config or {"kind": "zeta_natural"},
+        window=list(plan.window) if plan.window else None,
+    )
+    return cfg

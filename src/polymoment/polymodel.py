@@ -24,7 +24,9 @@ chain inputs.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import numbers
 import threading
 import warnings
 from dataclasses import dataclass, field, replace
@@ -36,10 +38,7 @@ from scipy import integrate, optimize, special
 
 from .calculus import (
     COMMON_INDEPENDENT,
-    FORWARD,
-    INSIDE_INDEPENDENT,
     MARTINGALE,
-    REVERSE,
     VECTOR_INDEPENDENT,
     DependenceRegime,
     combined_exponent,
@@ -158,9 +157,8 @@ class CoefficientTensor:
 
     @classmethod
     def uniform(cls, d: int, n: int) -> "CoefficientTensor":
-        count = comb(n, d)
-        value = 1.0 / math.sqrt(count)
-        return cls(d, n, {I: value for I in enumerate_indices(d, n)})
+        tuples = list(enumerate_indices(d, n))
+        return cls(d, n, dict.fromkeys(tuples, 1.0 / math.sqrt(len(tuples))))
 
     @classmethod
     def single(cls, d: int, n: int, index: Optional[IndexTuple] = None) -> "CoefficientTensor":
@@ -1147,6 +1145,9 @@ def enumeration_states(model: PolynomialModel, limit: int = 1 << 24):
 # ---------------------------------------------------------------------------
 
 
+SAMPLE_FORMATS = ("f64", "csv")
+
+
 def save_samples(path: str, values: np.ndarray, fmt: str = "f64") -> None:
     """Write a sample array as little-endian float64 binary or CSV."""
     arr = np.asarray(values, dtype="<f8")
@@ -1155,26 +1156,99 @@ def save_samples(path: str, values: np.ndarray, fmt: str = "f64") -> None:
     elif fmt == "csv":
         np.savetxt(path, arr, fmt="%.17g", delimiter=",")
     else:
-        raise ValueError(f"unknown sample format {fmt!r}; use 'f64' or 'csv'")
+        raise ValueError(f"unknown sample format {fmt!r}; use one of {SAMPLE_FORMATS}")
+
+
+class ConfigError(ValueError):
+    """A config value that cannot become a library object; the message names its path."""
+
+
+_JSON_TYPES = {
+    float: numbers.Real, int: numbers.Integral, bool: bool, str: str, list: (list, tuple), dict: dict
+}
+
+
+def config_value(value, where: str, typ):
+    """``value`` checked to be of JSON type ``typ``, or parsed by ``typ(value, where)``."""
+    if not isinstance(typ, type):
+        return typ(value, where)
+    if not isinstance(value, _JSON_TYPES[typ]) or (isinstance(value, bool) and typ is not bool):
+        raise ConfigError(f"{where} must be {typ.__name__}, got {value!r}")
+    return typ(value) if typ in (float, int) else value
+
+
+def config_list(value, where: str, typ=None, length: Optional[int] = None) -> list:
+    """``value`` checked to be a list (of ``length`` entries, each parsed as ``typ``)."""
+    value = config_value(value, where, list)
+    if length is not None and len(value) != length:
+        raise ConfigError(f"{where} must have {length} entries, got {len(value)}")
+    return [v if typ is None else config_value(v, f"{where}[{i}]", typ) for i, v in enumerate(value)]
+
+
+def check_keys(cfg, where: str, allowed: Sequence[str], required: Sequence[str] = ()) -> dict:
+    """``cfg`` checked to be an object with only ``allowed`` keys and every ``required`` one."""
+    unknown = sorted(set(config_value(cfg, where, dict)) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    missing = [k for k in required if k not in cfg]
+    if missing:
+        raise ConfigError(f"{where}: missing keys {missing}")
+    return cfg
+
+
+def config_build(where: str, factory: Callable, *args, **kwargs):
+    """``factory(*args, **kwargs)``, its domain errors (``ValueError``) raised as ConfigError."""
+    try:
+        return factory(*args, **kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def config_call(factory: Callable, cfg, where: str, types: dict, required=(), selector=None):
+    """``factory(**kwargs)`` from the keys of object ``cfg`` (but ``selector``), parsed by ``types``."""
+    check_keys(cfg, where, (selector, *types), required)
+    kwargs = {k: config_value(v, f"{where}.{k}", types[k]) for k, v in cfg.items() if k != selector}
+    return config_build(where, factory, **kwargs)
+
+
+def config_select(cfg, where: str, kinds: dict, default: Optional[str] = None, key: str = "kind"):
+    """config_call with the ``(factory, types, required)`` entry of ``kinds`` named by ``cfg[key]``."""
+    kind = config_value(config_value(cfg, where, dict).get(key, default), f"{where}.{key}", str)
+    if kind not in kinds:
+        raise ConfigError(f"{where}.{key} must be one of {sorted(kinds)}, got {kind!r}")
+    factory, types, required = kinds[kind]
+    return config_call(factory, cfg, where, types, required, key)
+
+
+def field_types(cls) -> dict:
+    """The config type of each init field of dataclass ``cls``: the type of its default."""
+    return {
+        f.name: _slowvar_from_config if isinstance(f.default, SlowlyVarying) else type(f.default)
+        for f in dataclasses.fields(cls)
+        if f.init
+    }
+
+
+# kind -> (factory, types, required keys); the types' one key is also written back
+_SLOWVAR_KINDS = {
+    "constant": (SlowlyVarying.constant, {"value": float}, ()),
+    "log_power": (SlowlyVarying.log_power, {"kappa": float}, ("kappa",)),
+}
 
 
 def _slowvar_to_config(L: SlowlyVarying) -> dict:
-    if L.kind == "constant":
-        return {"kind": "constant", "value": L.value}
-    if L.kind == "log_power":
-        return {"kind": "log_power", "kappa": L.kappa}
-    raise ValueError("custom slowly varying functions are not serialisable")
+    if L.kind not in _SLOWVAR_KINDS:
+        raise ValueError("custom slowly varying functions are not serialisable")
+    (key,) = _SLOWVAR_KINDS[L.kind][1]
+    return {"kind": L.kind, key: getattr(L, key)}
 
 
-def _slowvar_from_config(cfg: Optional[dict]) -> SlowlyVarying:
+def _slowvar_from_config(cfg: Optional[dict], where: str = "slowvar") -> SlowlyVarying:
     if cfg is None:
         return SlowlyVarying.constant(1.0)
-    kind = cfg.get("kind", "constant")
-    if kind == "constant":
-        return SlowlyVarying.constant(float(cfg.get("value", 1.0)))
-    if kind == "log_power":
-        return SlowlyVarying.log_power(float(cfg["kappa"]))
-    raise ValueError(f"unknown slowly varying kind {kind!r}")
+    return config_select(cfg, where, _SLOWVAR_KINDS, "constant")
 
 
 _DIST_KINDS = {
@@ -1188,36 +1262,19 @@ _DIST_KINDS = {
 
 
 def dist_to_config(dist: InputDistribution) -> dict:
-    base = {"centered": dist.centered, "standardized": dist.standardized}
-    if isinstance(dist, ParetoPower):
-        return {"kind": "pareto_power", "r1": dist.r1, **base}
-    if isinstance(dist, LogPerturbedPareto):
-        return {
-            "kind": "log_perturbed_pareto",
-            "r": dist.r,
-            "kappa": dist.kappa,
-            "slowvar": _slowvar_to_config(dist.slowvar),
-            **base,
-        }
-    if isinstance(dist, LogPowerOnly):
-        return {"kind": "log_power", "mu": dist.mu, **base}
-    if isinstance(dist, DoubleExpDiscrete):
-        return {"kind": "double_exp_discrete", "r": dist.r, "beta": dist.beta, **base}
-    if isinstance(dist, Weibull):
-        return {"kind": "weibull", "c": dist.c, "alpha": dist.alpha, **base}
-    if isinstance(dist, Rademacher):
-        return {"kind": "rademacher", **base}
-    raise ValueError(f"distribution {dist} is not serialisable")
+    kinds = {cls: kind for kind, cls in _DIST_KINDS.items()}
+    if type(dist) not in kinds:
+        raise ValueError(f"distribution {dist} is not serialisable")
+    cfg = {"kind": kinds[type(dist)]}
+    for f in sorted(dataclasses.fields(dist), key=lambda f: f.kw_only):
+        value = getattr(dist, f.name)
+        cfg[f.name] = _slowvar_to_config(value) if isinstance(value, SlowlyVarying) else value
+    return cfg
 
 
-def dist_from_config(cfg: dict) -> InputDistribution:
-    cfg = dict(cfg)
-    kind = cfg.pop("kind")
-    if kind not in _DIST_KINDS:
-        raise ValueError(f"unknown distribution kind {kind!r}")
-    if "slowvar" in cfg:
-        cfg["slowvar"] = _slowvar_from_config(cfg["slowvar"])
-    return _DIST_KINDS[kind](**cfg)
+def dist_from_config(cfg: dict, where: str = "distribution") -> InputDistribution:
+    kinds = {kind: (cls, field_types(cls), ()) for kind, cls in _DIST_KINDS.items()}
+    return config_select(cfg, where, kinds)
 
 
 def _tensor_to_config(tensor: CoefficientTensor) -> dict:
@@ -1233,17 +1290,28 @@ def _tensor_to_config(tensor: CoefficientTensor) -> dict:
     }
 
 
-def _tensor_from_config(cfg: dict, d: int, n: int) -> CoefficientTensor:
-    kind = cfg.get("kind", "uniform")
-    if kind == "uniform":
-        return CoefficientTensor.uniform(d, n)
-    if kind == "single":
-        index = cfg.get("index")
-        return CoefficientTensor.single(d, n, tuple(index) if index else None)
-    if kind == "entries":
-        entries = {tuple(I): float(v) for I, v in cfg["entries"]}
-        return CoefficientTensor(d, n, entries)
-    raise ValueError(f"unknown coefficient kind {kind!r}")
+def _index(value, where: str) -> IndexTuple:
+    return tuple(config_list(value, where, int))
+
+
+def _entry(value, where: str) -> Tuple[IndexTuple, float]:
+    index, b = config_list(value, where, length=2)
+    return _index(index, f"{where}[0]"), config_value(b, f"{where}[1]", float)
+
+
+def _tensor_from_config(cfg: dict, d: int, n: int, where: str) -> CoefficientTensor:
+    kinds = {
+        "uniform": (lambda: CoefficientTensor.uniform(d, n), {}, ()),
+        "single": (
+            lambda index=(): CoefficientTensor.single(d, n, index or None), {"index": _index}, ()
+        ),
+        "entries": (
+            lambda entries: CoefficientTensor(d, n, dict(entries)),
+            {"entries": lambda v, w: config_list(v, w, _entry)},
+            ("entries",),
+        ),
+    }
+    return config_select(cfg, where, kinds, "uniform")
 
 
 def model_to_config(model: PolynomialModel) -> dict:
@@ -1260,32 +1328,20 @@ def model_to_config(model: PolynomialModel) -> dict:
     return cfg
 
 
-_MODEL_KEYS = {"d", "n", "regime", "sharing", "coefficients", "distributions", "multiplicities"}
-
-
 def model_from_config(cfg: dict) -> PolynomialModel:
-    unknown = set(cfg) - _MODEL_KEYS
-    if unknown:
-        raise ValueError(f"unknown model keys: {sorted(unknown)}")
-    d = int(cfg["d"])
-    n = int(cfg["n"])
-    regime_cfg = cfg.get("regime", {})
-    unknown = set(regime_cfg) - {"tag", "direction"}
-    if unknown:
-        raise ValueError(f"unknown regime keys: {sorted(unknown)}")
-    regime = DependenceRegime(
-        regime_cfg.get("tag", MARTINGALE), regime_cfg.get("direction", FORWARD)
-    )
-    mult = cfg.get("multiplicities")
-    slots = len(mult) if mult is not None else d
-    tensor = _tensor_from_config(cfg.get("coefficients", {"kind": "uniform"}), slots, n)
-    dists = tuple(dist_from_config(c) for c in cfg["distributions"])
-    return PolynomialModel(
-        d=d,
-        n=n,
-        coefficients=tensor,
-        regime=regime,
-        distributions=dists,
-        sharing=cfg.get("sharing", "none"),
-        multiplicities=tuple(mult) if mult is not None else None,
-    )
+    def build(d, n, distributions, regime=DependenceRegime(), sharing="none", coefficients=None,
+              multiplicities=None):
+        slots = d if multiplicities is None else len(multiplicities)
+        tensor = _tensor_from_config(coefficients or {}, slots, n, "model.coefficients")
+        return PolynomialModel(d, n, tensor, regime, distributions, sharing, multiplicities)
+
+    types = {
+        "d": int, "n": int, "sharing": str, "coefficients": dict, "multiplicities": _index,
+        "regime": lambda v, w: config_call(DependenceRegime, v, w, field_types(DependenceRegime)),
+        "distributions": lambda v, w: tuple(config_list(v, w, dist_from_config)),
+    }
+    model = config_call(build, cfg, "model", types, required=("d", "n", "distributions"))
+    # a model the sampler cannot set up (a cell that cannot be standardised,
+    # a diverging power mean) is a config fault: find it here, not mid-run
+    config_build("model", Sampler, model)
+    return model

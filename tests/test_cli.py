@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 import os
 
 import numpy as np
@@ -302,3 +304,116 @@ class TestSimulateCommand:
         model = model_from_config(cfg["model"])
         assert np.array_equal(values, sample_reverse_V(model, seed, reps, 2, 6))
         assert not np.array_equal(values, sample_Q(model, seed, reps))
+
+
+_DELETE = object()
+
+
+def _edited_scenario(path=(), value=None):
+    """rademacher_d2_common at 2,000 replications with the entry at ``path`` set or deleted."""
+    from polymoment.cli import load_config
+
+    cfg = load_config(None, "rademacher_d2_common")
+    cfg["plan"]["replications"] = 2000
+    if path:
+        node = functools.reduce(operator.getitem, path[:-1], cfg)
+        if value is _DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    return cfg
+
+
+# case -> (path, value, token the error line must name)
+MALFORMED_CONFIGS = {
+    "unknown_distribution_key": (
+        ("model", "distributions", 0), {"kind": "rademacher", "bogus": 1}, "bogus"),
+    "string_tail_index": (
+        ("model", "distributions", 0), {"kind": "pareto_power", "r1": "abc"}, "r1"),
+    "tail_index_below_one": (
+        ("model", "distributions", 0), {"kind": "pareto_power", "r1": 0.5}, "0.5"),
+    "scalar_multiplicities": (("model", "multiplicities"), 2, "multiplicities"),
+    "short_window": (("plan", "window"), [1], "window"),
+    "unknown_coefficients_key": (("model", "coefficients", "bogus"), 1, "bogus"),
+    "unknown_grid_key": (("plan", "p_grid"), {"kind": "auto", "point": 9}, "point"),
+    "unknown_slowvar_key": (
+        ("model", "distributions", 0),
+        {"kind": "log_perturbed_pareto", "slowvar": {"kind": "constant", "valu": 2.0}},
+        "valu"),
+    "missing_degree": (("model", "d"), _DELETE, "missing keys ['d']"),
+    "entry_triple": (
+        ("model", "coefficients"), {"kind": "entries", "entries": [[[1, 2], 1.0, 3]]}, "entries"),
+    "tail_triple": (("plan", "bound"), {"kind": "dominant", "tails": [[6.0, 0.0, 1.0]]}, "tails"),
+    "regime_string": (("model", "regime"), "martingale", "model.regime"),
+    "zero_threshold": (("plan", "x_grid"), [0.0, 2.0], "thresholds"),
+    "diverging_power_mean": (
+        ("model",),
+        {"d": 2, "n": 5, "regime": {"tag": "common_independent"}, "multiplicities": [2],
+         "distributions": [{"kind": "pareto_power", "r1": 1.5, "centered": True}]},
+        "E X^2 diverges"),
+    "unstandardisable_input": (
+        ("model", "distributions", 0),
+        {"kind": "pareto_power", "r1": 1.5, "standardized": True},
+        "cannot standardise"),
+}
+
+
+class TestMalformedInput:
+    """Every malformed input exits 2 with one ``error:`` line naming it."""
+
+    def _assert_config_error(self, code, err, token):
+        assert code == 2
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert token in lines[0]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+    def test_config(self, capsys, tmp_path, case):
+        entry, value, token = MALFORMED_CONFIGS[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_edited_scenario(entry, value)))
+        code, _, err = run_cli(capsys, "verify", "--config", str(path))
+        self._assert_config_error(code, err, token)
+
+    def test_bad_samples_format_fails_before_the_run(self, capsys, tmp_path):
+        cfg = _edited_scenario(("output",), {
+            "json": str(tmp_path / "rep.json"),
+            "samples": str(tmp_path / "q.bin"),
+            "samples_format": "xyz",
+        })
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        self._assert_config_error(code, err, "xyz")
+        assert out == ""
+        assert not (tmp_path / "rep.json").exists()
+        assert not (tmp_path / "q.bin").exists()
+
+    @pytest.mark.parametrize(
+        "argv, token",
+        [
+            (["verify", "--config", "{tmp}"], "Is a directory"),
+            (["envelope", "eval", "--name", "ind4", "--p", "a:b"], "a:b"),
+            (["zeta", "--inputs", "ind8,ind8", "--grid", "3,2"], "grid"),
+            (["tail", "--name", "ind4", "--x", "10", "--norm-factor", "0"], "--norm-factor"),
+            (["envelope", "eval", "--name", "ps_r0", "--p", "2"], "ps_r0"),
+        ],
+    )
+    def test_flag(self, capsys, tmp_path, argv, token):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code, _, err = run_cli(capsys, *argv)
+        self._assert_config_error(code, err, token)
+
+    def test_non_integer_thread_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("POLYMOMENT_THREADS", "abc")
+        code, _, err = run_cli(capsys, "verify", "--scenario", "rademacher_d2_common")
+        self._assert_config_error(code, err, "POLYMOMENT_THREADS")
+
+    def test_internal_value_error_is_not_a_config_error(self, monkeypatch):
+        def broken(plan):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr("polymoment.cli.run_experiment", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["verify", "--scenario", "rademacher_d2_common", "--reps", "2000"])
