@@ -398,7 +398,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NumericFailure, FloatingPointError) as exc:
+    except (NumericFailure, FloatingPointError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
     except (ConfigError, EnvelopeDomainError, ChainFeasibilityError, OSError) as exc:

@@ -45,9 +45,11 @@ from .polymodel import (
     _window,
     batch_plan,
     check_keys,
+    config_build,
     config_call,
     config_list,
     config_select,
+    config_value,
     enumerate_indices,
     model_to_config,
     natural_envelope,
@@ -121,6 +123,15 @@ class MomentRow(NamedTuple):
     passed: bool
 
 
+def _check_run_scalars(replications: int, seed: int = 0, threads: int = 1) -> None:
+    if replications < 1000:
+        raise ValueError("at least 10^3 replications are required")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentPlan:
     """Everything needed to reproduce one verification run."""
@@ -140,12 +151,7 @@ class ExperimentPlan:
     bound_config: Optional[dict] = None  # recipe used to rebuild the bound
 
     def __post_init__(self):
-        if self.replications < 1000:
-            raise ValueError("at least 10^3 replications are required")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be at least 1, got {self.threads}")
+        _check_run_scalars(self.replications, self.seed, self.threads)
         if not self.tail_norm_factor > 0:
             raise ValueError(f"tail_norm_factor must be positive, got {self.tail_norm_factor}")
         if self.window is not None:
@@ -530,6 +536,11 @@ def plan_from_config(cfg: dict, model: PolynomialModel) -> ExperimentPlan:
     given = {k: v for k, v in check_keys(cfg, "plan", types).items() if v is not None}
     defaults = {"replications": 10000, "p_grid": {"kind": "auto"}, "bound": {"kind": "zeta_natural"}}
     cfg = {**defaults, **given}
+    # the run's scalars are checked before the bound (a whole chain) is built
+    scalars = {
+        k: config_value(cfg[k], f"plan.{k}", int) for k in ("replications", "seed", "threads") if k in cfg
+    }
+    config_build("plan", _check_run_scalars, **scalars)
 
     def plan(**kwargs):
         return ExperimentPlan(model=model, bound_config=dict(cfg["bound"]), **kwargs)

@@ -243,7 +243,7 @@ class InputDistribution:
             return float(np.sum(probs * np.abs(vals) ** p))
         if p >= self.moment_boundary:
             return math.inf
-        return _survival_quad(self, p)
+        return float(_survival_quad(self, [p])[0])
 
     def signed_moment(self, k: int) -> float:
         """E X^k for integer k."""
@@ -253,7 +253,7 @@ class InputDistribution:
             return float(np.sum(probs * vals ** k))
         if k >= self.moment_boundary:
             return math.inf
-        return _survival_quad(self, float(k), signed=True)
+        return float(_survival_quad(self, [k], signed=True)[0])
 
     def mean(self) -> float:
         return self.signed_moment(1)
@@ -268,12 +268,12 @@ class InputDistribution:
 
 def _survival_quad(
     dist: InputDistribution,
-    p: float,
+    ps: Sequence[float],
     loc: float = 0.0,
     signed: bool = False,
     u_max: float = 1.0,
-) -> float:
-    """``E (X - loc)^p`` (signed) or ``E |X - loc|^p`` by quadrature.
+) -> np.ndarray:
+    """``E (X - loc)^p`` (signed) or ``E |X - loc|^p`` by quadrature, for each p of ``ps``.
 
     Integrates over the survival uniform via the substitution u = e^(-t),
     which turns heavy-tail endpoint singularities at u -> 0 into smooth
@@ -282,16 +282,23 @@ def _survival_quad(
     overflow before the weight is applied.  With ``u_max < 1`` only the
     top-tail region u in (0, u_max) is integrated (u = u_max e^(-t)), which
     gives the expectation restricted to the event {U < u_max}.
-    """
 
-    def f(t: float) -> float:
-        u = u_max * math.exp(-t)
-        if u == 0.0:
+    Each exponent gets its own adaptive ``quad``, but their bisections share
+    most nodes, so ``X - loc`` is kept per node t for this call only.
+    """
+    nodes: Dict[float, float] = {}  # t -> X - loc at u = u_max e^(-t)
+
+    def f(t: float, p: float) -> float:
+        try:
+            w = nodes[t]
+        except KeyError:
+            u = u_max * math.exp(-t)
             # beyond float underflow the e^(-t) weight wins whenever the
             # moment exists at all
-            return 0.0
-        v = float(dist.survival_quantile(np.array([u]))[0])
-        w = v - loc
+            w = 0.0
+            if u != 0.0:
+                w = float(dist.survival_quantile(np.array([u]))[0]) - loc
+            nodes[t] = w
         mag = abs(w)
         if mag == 0.0:
             return 0.0
@@ -320,18 +327,17 @@ def _survival_quad(
             pass
     breaks.append(50.0)
     breaks = sorted(set(breaks))
-    total = 0.0
+    out = np.empty(len(ps))
     with warnings.catch_warnings():
         # roundoff warnings near the moment-existence edge are expected; the
         # envelope consumers tolerate the precision achievable there
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for a, b in zip(breaks, breaks[1:]):
-            piece, _ = integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-11, limit=400)
-            total += piece
-        piece, _ = integrate.quad(
-            f, breaks[-1], math.inf, epsabs=0.0, epsrel=1e-11, limit=400
-        )
-    return u_max * (total + piece)
+        for i, p in enumerate(map(float, ps)):
+            total = 0.0
+            for a, b in zip(breaks, breaks[1:] + [math.inf]):
+                total += integrate.quad(f, a, b, args=(p,), epsabs=0.0, epsrel=1e-11, limit=400)[0]
+            out[i] = u_max * total
+    return out
 
 
 class InfiniteMomentQuadError(OverflowError):
@@ -362,7 +368,7 @@ def stratified_moment(
     if replications < 1:
         raise ValueError(f"need at least one replication, got {replications}")
     delta = top_fraction
-    exact_tail = _survival_quad(dist, p, u_max=delta)
+    exact_tail = float(_survival_quad(dist, [p], u_max=delta)[0])
     gen = _stream(seed, 0)
     u = delta + (1.0 - delta) * gen.random(replications)
     body = np.abs(dist.survival_quantile(u)) ** p
@@ -621,18 +627,20 @@ def cell_sigma(dist: InputDistribution, symmetrized: bool) -> float:
     return math.sqrt(m2 - 2 * loc * dist.mean() + loc * loc) / scale
 
 
-def cell_abs_moment(dist: InputDistribution, p: float, symmetrized: bool) -> float:
-    """E |cell|^p of the sampled cell before any modulator."""
+def cell_abs_moment(dist: InputDistribution, ps: Sequence[float], symmetrized: bool) -> np.ndarray:
+    """E |cell|^p of the sampled cell before any modulator, for each p of ``ps``."""
+    ps = [float(p) for p in ps]
     loc, scale = cell_loc_scale(dist, symmetrized)
     if symmetrized or loc == 0.0:
-        return dist.raw_abs_moment(p) / scale ** p
-    at = dist.atoms()
-    if at is not None:
+        moments = [dist.raw_abs_moment(p) for p in ps]
+    elif (at := dist.atoms()) is not None:
         vals, probs = at
-        return float(np.sum(probs * np.abs(vals - loc) ** p)) / scale ** p
-    if p >= dist.moment_boundary:
-        return math.inf
-    return _survival_quad(dist, p, loc=loc) / scale ** p
+        moments = [float(np.sum(probs * np.abs(vals - loc) ** p)) for p in ps]
+    else:
+        r = dist.moment_boundary
+        finite = iter(_survival_quad(dist, [p for p in ps if p < r], loc=loc).tolist())
+        moments = [next(finite) if p < r else math.inf for p in ps]
+    return np.array([m / scale ** p for m, p in zip(moments, ps)])
 
 
 _ENVELOPE_CACHE: Dict[tuple, Tabulated] = {}
@@ -663,9 +671,8 @@ def natural_envelope(
     if cached is not None:
         return cached
     factor = MODULATOR_HIGH if symmetrized else 1.0
-    vals = np.array(
-        [factor * cell_abs_moment(dist, float(p), symmetrized) ** (1.0 / float(p)) for p in grid]
-    )
+    moments = cell_abs_moment(dist, grid, symmetrized).tolist()
+    vals = np.array([factor * m ** (1.0 / float(p)) for m, p in zip(moments, grid)])
     env = Tabulated(grid, vals, upper=r if math.isfinite(r) else None)
     _ENVELOPE_CACHE[key] = env
     cached = env
@@ -825,7 +832,7 @@ def power_mean(model: PolynomialModel, slot: int) -> float:
         return float(np.sum(probs * ((vals - loc) / scale) ** k))
     if k >= dist.moment_boundary:
         raise ValueError(f"E X^{k} diverges for {dist}")
-    return _survival_quad(dist, float(k), loc=loc, signed=True) / scale ** k
+    return float(_survival_quad(dist, [k], loc=loc, signed=True)[0]) / scale ** k
 
 
 class Sampler:

@@ -417,3 +417,51 @@ class TestMalformedInput:
         monkeypatch.setattr("polymoment.cli.run_experiment", broken)
         with pytest.raises(ValueError, match="internal bug"):
             main(["verify", "--scenario", "rademacher_d2_common", "--reps", "2000"])
+
+    @pytest.mark.parametrize(
+        "flags, token",
+        [(["--seed", "-1"], "plan: seed must lie in [0, 2^64), got -1"),
+         (["--threads", "0"], "plan: threads must be at least 1, got 0")],
+        ids=["seed", "threads"],
+    )
+    def test_run_scalars_are_checked_before_the_chain(self, capsys, monkeypatch, flags, token):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("the bound chain was built")
+
+        monkeypatch.setattr("polymoment.mcverify.natural_zeta_chain", no_chain)
+        code, _, err = run_cli(capsys, "verify", "--scenario", "pareto_d2_inside", *flags)
+        self._assert_config_error(code, err, token)
+
+
+class TestNumericOverflow:
+    """Overflowing float arithmetic exits 4 with one line and no traceback."""
+
+    def _assert_numeric_failure(self, code, err):
+        assert code == 4
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["zeta", "--inputs", "big,ind8"], ["tail", "--name", "big", "--x", "10"]],
+        ids=["zeta", "tail"],
+    )
+    def test_huge_slowvar_exponent(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "env.json"
+        cfg.write_text(json.dumps({"envelopes": {"big": {
+            "form": "power_singularity", "r": 6.0,
+            "slowvar": {"kind": "log_power", "kappa": 1e9},
+        }}}))
+        code, _, err = run_cli(capsys, *argv, "--config", str(cfg))
+        self._assert_numeric_failure(code, err)
+
+    def test_huge_dominant_tail_gamma(self, capsys, tmp_path):
+        from polymoment.cli import load_config
+
+        cfg = load_config(None, "pareto_diagonal_degree2")
+        cfg["plan"]["bound"]["tails"][0][1] = 1e9
+        path = tmp_path / "gamma.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "verify", "--config", str(path), "--reps", "2000")
+        self._assert_numeric_failure(code, err)

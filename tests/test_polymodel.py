@@ -196,12 +196,12 @@ class TestDistributions:
     def test_centered_standardized_transforms(self):
         d = ParetoPower(6.0, centered=True, standardized=True)
         assert cell_sigma(d, symmetrized=False) == pytest.approx(1.0)
-        assert cell_abs_moment(d, 2.0, symmetrized=False) == pytest.approx(1.0, rel=1e-9)
+        assert cell_abs_moment(d, [2.0], symmetrized=False)[0] == pytest.approx(1.0, rel=1e-9)
 
     def test_symmetrized_scale(self):
         d = ParetoPower(6.0, standardized=True)
         # symmetrised cells have unit second moment
-        assert cell_abs_moment(d, 2.0, symmetrized=True) == pytest.approx(1.0, rel=1e-12)
+        assert cell_abs_moment(d, [2.0], symmetrized=True)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_custom_atoms(self):
         d = CustomQuantile(
@@ -726,35 +726,58 @@ class TestLogPerturbedPareto:
 
 
 # ---------------------------------------------------------------------------
-# the survival quadrature's top-tail region and the stratified estimator
+# the survival quadrature, one exponent per call, and the stratified estimator
 # ---------------------------------------------------------------------------
 
 
-def ref_tail_region_integral(dist, p, u_max):
-    """Integral of |Q(u)|^p over u in (0, u_max), as a quadrature of its own."""
+def ref_survival_quad(dist, p, loc=0.0, signed=False, u_max=1.0):
+    """One exponent per call, every node through the quantile: the loop the grid form replaces."""
     import warnings
 
-    from scipy import integrate
+    from scipy import integrate, optimize
+
+    from polymoment.polymodel import InfiniteMomentQuadError
 
     def f(t):
         u = u_max * math.exp(-t)
         if u == 0.0:
             return 0.0
-        mag = abs(float(dist.survival_quantile(np.array([u]))[0]))
+        w = float(dist.survival_quantile(np.array([u]))[0]) - loc
+        mag = abs(w)
         if mag == 0.0:
             return 0.0
-        return math.exp(p * math.log(mag) - t)
+        log_term = p * math.log(mag) - t
+        if log_term > 700.0:
+            raise InfiniteMomentQuadError(f"moment integrand overflows at order p={p}")
+        val = math.exp(log_term)
+        if signed and w < 0.0 and (int(p) % 2 == 1):
+            val = -val
+        return val
 
+    breaks = [0.0]
+    if loc != 0.0:
+        def h(t):
+            return float(dist.survival_quantile(np.array([u_max * math.exp(-t)]))[0]) - loc
+
+        try:
+            if h(1e-9) * h(60.0) < 0:
+                breaks.append(float(optimize.brentq(h, 1e-9, 60.0)))
+        except ValueError:
+            pass
+    breaks = sorted(set(breaks + [50.0]))
+    total = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        head, _ = integrate.quad(f, 0.0, 50.0, epsabs=0.0, epsrel=1e-11, limit=400)
-        rest, _ = integrate.quad(f, 50.0, math.inf, epsabs=0.0, epsrel=1e-11, limit=400)
-    return u_max * (head + rest)
+        for a, b in zip(breaks, breaks[1:]):
+            piece, _ = integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-11, limit=400)
+            total += piece
+        piece, _ = integrate.quad(f, breaks[-1], math.inf, epsabs=0.0, epsrel=1e-11, limit=400)
+    return u_max * (total + piece)
 
 
 def ref_stratified(dist, p, reps, seed, delta=1e-3):
     """(value, stderr, power_mean, power_mean_stderr) with at least two body batches."""
-    exact_tail = ref_tail_region_integral(dist, p, delta)
+    exact_tail = ref_survival_quad(dist, p, u_max=delta)
     u = delta + (1.0 - delta) * _stream(seed, 0).random(reps)
     body = np.abs(dist.survival_quantile(u)) ** p
     nb = max(2, int(math.sqrt(reps)))
@@ -776,8 +799,8 @@ class TestStratifiedMoment:
     def test_survival_quad_top_region(self, dist):
         from polymoment.polymodel import _survival_quad
 
-        for p in (1.5, 4.0):
-            assert _survival_quad(dist, p, u_max=1e-3) == ref_tail_region_integral(dist, p, 1e-3)
+        got = _survival_quad(dist, [1.5, 4.0], u_max=1e-3).tolist()
+        assert got == [ref_survival_quad(dist, p, u_max=1e-3) for p in (1.5, 4.0)]
 
     def test_zero_replications_rejected(self):
         from polymoment import stratified_moment
@@ -805,3 +828,86 @@ class TestStratifiedMoment:
         want = ref_stratified(dist, 2.5, reps, 3)
         for got, ref in zip((est.value, est.stderr, est.power_mean, est.power_mean_stderr), want):
             assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the survival quadrature over a whole exponent grid against the per-exponent loop
+# ---------------------------------------------------------------------------
+
+
+def ref_cell_abs_moment(dist, p, symmetrized):
+    loc, scale = cell_loc_scale(dist, symmetrized)
+    if symmetrized or loc == 0.0:
+        if isinstance(dist, LogPerturbedPareto):  # no closed form: the generic quadrature
+            m = math.inf if p >= dist.moment_boundary else ref_survival_quad(dist, p)
+        else:
+            m = dist.raw_abs_moment(p)
+        return m / scale ** p
+    at = dist.atoms()
+    if at is not None:
+        vals, probs = at
+        return float(np.sum(probs * np.abs(vals - loc) ** p)) / scale ** p
+    if p >= dist.moment_boundary:
+        return math.inf
+    return ref_survival_quad(dist, p, loc=loc) / scale ** p
+
+
+def ref_natural_values(dist, tag, points):
+    from polymoment.polymodel import MODULATOR_HIGH, _is_symmetrized
+
+    symmetrized = _is_symmetrized(tag)
+    factor = MODULATOR_HIGH if symmetrized else 1.0
+    grid = natural_envelope(dist, tag, points=points).p_grid
+    moments = [ref_cell_abs_moment(dist, float(p), symmetrized) for p in grid]
+    return np.array([factor * m ** (1.0 / float(p)) for m, p in zip(moments, grid)])
+
+
+LPP_LOG = LogPerturbedPareto(
+    6.0, 0.5, SlowlyVarying.log_power(1.0), centered=True, standardized=True
+)
+
+
+class TestSurvivalQuadGrid:
+    @pytest.mark.parametrize(
+        "dist, tag, points",
+        [
+            (ParetoPower(6.0, centered=True, standardized=True), "common_independent", 257),
+            (ParetoPower(8.0, centered=True), "inside_independent", 65),
+            (LPP_LOG, "common_independent", 17),
+            (LogPerturbedPareto(6.0, 0.5, standardized=True), "martingale", 17),
+            (Rademacher(), "common_independent", 33),
+            (DoubleExpDiscrete(r=4.0, centered=True), "common_independent", 33),
+        ],
+        ids=["pareto6_centered", "pareto8_centered", "lpp_centered", "lpp_symmetrised",
+             "rademacher", "double_exp_centered"],
+    )
+    def test_natural_envelope_matches_per_exponent_loop(self, dist, tag, points):
+        got = natural_envelope(dist, tag, points=points).values
+        assert np.array_equal(got, ref_natural_values(dist, tag, points))
+
+    def test_signed_moments_and_variance(self):
+        dist = LogPerturbedPareto(6.0, 0.5, SlowlyVarying.log_power(1.0))
+        for k in (1, 2, 3):
+            assert dist.signed_moment(k) == ref_survival_quad(dist, float(k), signed=True)
+        mu = ref_survival_quad(dist, 1.0, signed=True)
+        assert dist.variance() == ref_survival_quad(dist, 2.0, signed=True) - mu * mu
+        assert cell_abs_moment(LPP_LOG, [2.0], symmetrized=False)[0] == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("dist", STRATIFIED_DISTS)
+    def test_stratified_top_region(self, dist):
+        from polymoment import stratified_moment
+
+        est = stratified_moment(dist, 2.5, 10000, 3)
+        assert est.power_mean == ref_stratified(dist, 2.5, 10000, 3)[2]
+
+    def test_one_envelope_reuses_quantile_nodes(self):
+        calls = [0]
+
+        def quantile(u):
+            calls[0] += 1
+            return u ** (-1.0 / 6.0)
+
+        dist = CustomQuantile(quantile=quantile, boundary=6.0, centered=True)
+        natural_envelope(dist, "common_independent")
+        # the per-exponent loop evaluates the quantile over 500,000 times
+        assert 0 < calls[0] < 50000
