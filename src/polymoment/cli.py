@@ -197,14 +197,16 @@ def load_config(path: Optional[str], scenario: Optional[str]) -> dict:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    """Parse 'lo:hi:n' into a linspace or a comma list into an array."""
+    """Parse 'lo:hi:n' into a linspace or a comma list into an array; never empty."""
     try:
         if ":" in spec:
             lo, hi, num = spec.split(":")
+            if int(num) < 1:
+                raise ValueError(num)
             return np.linspace(float(lo), float(hi), int(num))
         return np.asarray([float(v) for v in spec.split(",")], dtype=float)
     except ValueError:
-        raise ConfigError(f"invalid grid {spec!r}; use a comma list or lo:hi:n") from None
+        raise ConfigError(f"invalid grid {spec!r}; use a comma list or lo:hi:n with n >= 1") from None
 
 
 def _fmt(v: float) -> str:

@@ -333,7 +333,7 @@ class Scaled(MomentEnvelope):
         return self.inner.evaluable_upper()
 
     def _value(self, p: float) -> float:
-        return self.factor * self.inner._value(p)
+        return self.factor * self.inner(p)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ chain inputs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 import threading
@@ -237,23 +238,11 @@ class InputDistribution:
     # --- generic moment machinery -----------------------------------------
     def raw_abs_moment(self, p: float) -> float:
         """E |X|^p of the untransformed variable."""
-        at = self.atoms()
-        if at is not None:
-            vals, probs = at
-            return float(np.sum(probs * np.abs(vals) ** p))
-        if p >= self.moment_boundary:
-            return math.inf
-        return float(_survival_quad(self, [p])[0])
+        return _moments(self, [p])[0]
 
     def signed_moment(self, k: int) -> float:
         """E X^k for integer k."""
-        at = self.atoms()
-        if at is not None:
-            vals, probs = at
-            return float(np.sum(probs * vals ** k))
-        if k >= self.moment_boundary:
-            return math.inf
-        return float(_survival_quad(self, [k], signed=True)[0])
+        return _moments(self, [k], signed=True)[0]
 
     def mean(self) -> float:
         return self.signed_moment(1)
@@ -264,6 +253,24 @@ class InputDistribution:
             return math.inf
         mu = self.mean()
         return m2 - mu * mu
+
+
+def _moments(
+    dist: InputDistribution, ps: Sequence[float], loc: float = 0.0, signed: bool = False
+) -> List[float]:
+    """``E (X - loc)^p`` (signed) or ``E |X - loc|^p`` for each p of ``ps``.
+
+    A sum over the atoms of a finitely supported input, else one
+    ``_survival_quad`` call for every p below the moment boundary (inf above).
+    """
+    at = dist.atoms()
+    if at is not None:
+        vals, probs = at
+        w = vals - loc if signed else np.abs(vals - loc)
+        return [float(np.sum(probs * w ** p)) for p in ps]
+    r = dist.moment_boundary
+    finite = iter(_survival_quad(dist, [p for p in ps if p < r], loc, signed).tolist())
+    return [next(finite) if p < r else math.inf for p in ps]
 
 
 def _survival_quad(
@@ -405,9 +412,6 @@ class ParetoPower(InputDistribution):
 
     def signed_moment(self, k: int) -> float:
         return self.raw_abs_moment(float(k))
-
-    def mean(self) -> float:
-        return self.r1 / (self.r1 - 1.0)
 
 
 @dataclass(frozen=True)
@@ -596,7 +600,7 @@ def cell_loc_scale(dist: InputDistribution, symmetrized: bool) -> Tuple[float, f
         if dist.standardized:
             m2 = dist.raw_abs_moment(2.0)
             if not (m2 > 0) or math.isinf(m2):
-                raise ValueError("cannot standardise: E X^2 is zero or infinite")
+                raise ValueError(f"cannot standardise {dist}: E X^2 is zero or infinite")
             scale = math.sqrt(m2)
         else:
             scale = 1.0
@@ -605,7 +609,7 @@ def cell_loc_scale(dist: InputDistribution, symmetrized: bool) -> Tuple[float, f
     if dist.standardized:
         var = dist.variance()
         if not (var > 0) or math.isinf(var):
-            raise ValueError("cannot standardise: variance is zero or infinite")
+            raise ValueError(f"cannot standardise {dist}: variance is zero or infinite")
         scale = math.sqrt(var)
     else:
         scale = 1.0
@@ -615,35 +619,32 @@ def cell_loc_scale(dist: InputDistribution, symmetrized: bool) -> Tuple[float, f
 def cell_sigma(dist: InputDistribution, symmetrized: bool) -> float:
     """Standard deviation of the sampled cell (modulator excluded)."""
     loc, scale = cell_loc_scale(dist, symmetrized)
-    if symmetrized:
-        m2 = dist.raw_abs_moment(2.0)
-        return math.sqrt(m2) / scale
-    var = dist.variance()
-    if math.isinf(var):
-        return math.inf
-    if dist.centered:
-        return math.sqrt(var) / scale
-    m2 = dist.signed_moment(2)
-    return math.sqrt(m2 - 2 * loc * dist.mean() + loc * loc) / scale
+    m2 = dist.raw_abs_moment(2.0) if symmetrized else dist.signed_moment(2)
+    return math.inf if math.isinf(m2) else math.sqrt(m2 - loc * loc) / scale
 
 
 def cell_abs_moment(dist: InputDistribution, ps: Sequence[float], symmetrized: bool) -> np.ndarray:
-    """E |cell|^p of the sampled cell before any modulator, for each p of ``ps``."""
+    """E |cell|^p of the sampled cell before any modulator, for each p of ``ps``.
+
+    An uncentered cell (symmetrised cells always are) uses the input's closed
+    form when it has one; everything else goes through ``_moments``.
+    """
     ps = [float(p) for p in ps]
     loc, scale = cell_loc_scale(dist, symmetrized)
-    if symmetrized or loc == 0.0:
+    if loc == 0.0 and type(dist).raw_abs_moment is not InputDistribution.raw_abs_moment:
         moments = [dist.raw_abs_moment(p) for p in ps]
-    elif (at := dist.atoms()) is not None:
-        vals, probs = at
-        moments = [float(np.sum(probs * np.abs(vals - loc) ** p)) for p in ps]
     else:
-        r = dist.moment_boundary
-        finite = iter(_survival_quad(dist, [p for p in ps if p < r], loc=loc).tolist())
-        moments = [next(finite) if p < r else math.inf for p in ps]
+        moments = _moments(dist, ps, loc)
     return np.array([m / scale ** p for m, p in zip(moments, ps)])
 
 
-_ENVELOPE_CACHE: Dict[tuple, Tabulated] = {}
+@functools.lru_cache(maxsize=64)
+def _tabulate_natural(dist: InputDistribution, symmetrized: bool, grid: Tuple[float, ...]) -> Tabulated:
+    r = dist.moment_boundary
+    factor = MODULATOR_HIGH if symmetrized else 1.0
+    moments = cell_abs_moment(dist, grid, symmetrized).tolist()
+    vals = np.array([factor * m ** (1.0 / p) for m, p in zip(moments, grid)])
+    return Tabulated(np.array(grid), vals, upper=r if math.isfinite(r) else None)
 
 
 def natural_envelope(
@@ -666,17 +667,7 @@ def natural_envelope(
         grid = chebyshev_grid(1.0, hi, points)
     else:
         grid = np.asarray(p_grid, dtype=float)
-    key = (dist, symmetrized, grid.tobytes())
-    cached = _ENVELOPE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    factor = MODULATOR_HIGH if symmetrized else 1.0
-    moments = cell_abs_moment(dist, grid, symmetrized).tolist()
-    vals = np.array([factor * m ** (1.0 / float(p)) for m, p in zip(moments, grid)])
-    env = Tabulated(grid, vals, upper=r if math.isfinite(r) else None)
-    _ENVELOPE_CACHE[key] = env
-    cached = env
-    return cached
+    return _tabulate_natural(dist, symmetrized, tuple(grid.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +823,7 @@ def power_mean(model: PolynomialModel, slot: int) -> float:
         return float(np.sum(probs * ((vals - loc) / scale) ** k))
     if k >= dist.moment_boundary:
         raise ValueError(f"E X^{k} diverges for {dist}")
-    return float(_survival_quad(dist, [k], loc=loc, signed=True)[0]) / scale ** k
+    return _moments(dist, [k], loc, signed=True)[0] / scale ** k
 
 
 class Sampler:
@@ -1111,14 +1102,6 @@ def normalize_model(model: PolynomialModel) -> PolynomialModel:
     scales = []
     new_dists = []
     for dist in model.distributions:
-        if symmetrized:
-            m2 = dist.raw_abs_moment(2.0)
-            if math.isinf(m2) or not (m2 > 0):
-                raise ValueError(f"cannot standardise {dist}: E X^2 zero or infinite")
-        else:
-            var = dist.variance()
-            if math.isinf(var) or not (var > 0):
-                raise ValueError(f"cannot standardise {dist}: variance zero or infinite")
         _, old_scale = cell_loc_scale(dist, symmetrized)
         std_dist = replace(dist, standardized=True)
         _, new_scale = cell_loc_scale(std_dist, symmetrized)

@@ -398,6 +398,9 @@ class TestMalformedInput:
             (["zeta", "--inputs", "ind8,ind8", "--grid", "3,2"], "grid"),
             (["tail", "--name", "ind4", "--x", "10", "--norm-factor", "0"], "--norm-factor"),
             (["envelope", "eval", "--name", "ps_r0", "--p", "2"], "ps_r0"),
+            (["envelope", "eval", "--name", "ind4", "--p", "1:2:0"], "1:2:0"),
+            (["tail", "--name", "ind4", "--x", "5:6:0"], "5:6:0"),
+            (["zeta", "--inputs", "ps_r6,ps_r8", "--grid", "1:2:0"], "1:2:0"),
         ],
     )
     def test_flag(self, capsys, tmp_path, argv, token):

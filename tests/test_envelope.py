@@ -73,6 +73,14 @@ class TestEvaluation:
     def test_outside_support_is_infinite(self, env):
         assert env(3.5) == math.inf
 
+    def test_scaled_keeps_the_inner_domain_check(self):
+        from polymoment import doob_maximal_envelope
+
+        inner = doob_maximal_envelope(Indicator(r=4.0))
+        with pytest.raises(EnvelopeDomainError):
+            Scaled(inner, 2.0)(1.0)
+        assert Scaled(inner, 2.0)(2.0) == 2.0 * inner(2.0)
+
     def test_below_lower_endpoint_is_infinite(self):
         env = Indicator(r=4, lower=2.0)
         assert env(1.5) == math.inf

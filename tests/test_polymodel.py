@@ -867,6 +867,32 @@ LPP_LOG = LogPerturbedPareto(
 )
 
 
+def three_atoms(u):
+    u = np.asarray(u, dtype=float)
+    return np.where(u <= 0.25, 3.0, np.where(u <= 0.75, 0.5, -1.0))
+
+
+def atoms_input(**kw):
+    """Three atoms with mean 0.75 and a negative value."""
+    return CustomQuantile(
+        quantile=three_atoms, atom_values=(-1.0, 0.5, 3.0), atom_probs=(0.25, 0.5, 0.25), **kw
+    )
+
+
+def ref_power_mean(model, slot):
+    """The power mean with its own quadrature: atoms scaled before the power, else quad."""
+    from polymoment.polymodel import _is_symmetrized
+
+    k = model.multiplicities[slot]
+    dist = model.distributions[slot]
+    loc, scale = cell_loc_scale(dist, _is_symmetrized(model.regime.tag))
+    at = dist.atoms()
+    if at is not None:
+        vals, probs = at
+        return float(np.sum(probs * ((vals - loc) / scale) ** k))
+    return ref_survival_quad(dist, float(k), loc=loc, signed=True) / scale ** k
+
+
 class TestSurvivalQuadGrid:
     @pytest.mark.parametrize(
         "dist, tag, points",
@@ -877,9 +903,14 @@ class TestSurvivalQuadGrid:
             (LogPerturbedPareto(6.0, 0.5, standardized=True), "martingale", 17),
             (Rademacher(), "common_independent", 33),
             (DoubleExpDiscrete(r=4.0, centered=True), "common_independent", 33),
+            (LogPerturbedPareto(6.0, 0.5, SlowlyVarying.log_power(1.0), standardized=True),
+             "common_independent", 17),
+            (DoubleExpDiscrete(r=4.0, standardized=True), "martingale", 33),
+            (atoms_input(centered=True, standardized=True), "common_independent", 33),
         ],
         ids=["pareto6_centered", "pareto8_centered", "lpp_centered", "lpp_symmetrised",
-             "rademacher", "double_exp_centered"],
+             "rademacher", "double_exp_centered", "lpp_uncentered", "double_exp_symmetrised",
+             "atoms_centered"],
     )
     def test_natural_envelope_matches_per_exponent_loop(self, dist, tag, points):
         got = natural_envelope(dist, tag, points=points).values
@@ -911,3 +942,74 @@ class TestSurvivalQuadGrid:
         natural_envelope(dist, "common_independent")
         # the per-exponent loop evaluates the quantile over 500,000 times
         assert 0 < calls[0] < 50000
+
+    def test_symmetrised_envelope_reuses_quantile_nodes(self):
+        calls = [0]
+
+        def quantile(u):
+            calls[0] += 1
+            return u ** (-1.0 / 6.0)
+
+        natural_envelope(CustomQuantile(quantile=quantile, boundary=6.0), "martingale")
+        # one quadrature per exponent evaluates the quantile over 500,000 times
+        assert 0 < calls[0] < 50000
+
+    def test_atoms_moments(self):
+        dist = atoms_input()
+        vals, probs = dist.atoms()
+        for p in (1.0, 1.5, 2.0, 3.7):
+            assert dist.raw_abs_moment(p) == float(np.sum(probs * np.abs(vals) ** p))
+        for d_ in (dist, DoubleExpDiscrete(r=4.0)):
+            vals, probs = d_.atoms()
+            for k in (1, 2, 3):
+                assert d_.signed_moment(k) == float(np.sum(probs * vals ** k))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize(
+        "dist",
+        [ParetoPower(6.0, centered=True, standardized=True),
+         DoubleExpDiscrete(r=4.0, centered=True, standardized=True)],
+        ids=["pareto6_centered", "double_exp_centered"],
+    )
+    def test_power_mean(self, dist, k):
+        model = common_model(k, 5, [dist], multiplicities=(k,))
+        assert power_mean(model, 0) == ref_power_mean(model, 0)
+
+
+class TestEnvelopeCache:
+    # warnings.catch_warnings is process-global, so concurrent quadratures can
+    # briefly see each other's filters; only the values are under test here
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_concurrent_first_calls_agree(self):
+        import threading
+
+        from polymoment.polymodel import _tabulate_natural
+
+        dist = CustomQuantile(quantile=lambda u: u ** (-1.0 / 6.0), boundary=6.0)
+        start = threading.Barrier(8)
+        envs = [None] * 8
+
+        def first_call(i):
+            start.wait(timeout=60)
+            envs[i] = natural_envelope(dist, "common_independent", points=17)
+
+        threads = [threading.Thread(target=first_call, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        grid = tuple(envs[0].p_grid.tolist())
+        want = _tabulate_natural.__wrapped__(dist, False, grid).values
+        for env in envs:
+            assert np.array_equal(env.values, want)
+
+    def test_repeated_call_returns_the_same_envelope(self):
+        env = natural_envelope(ParetoPower(7.0, centered=True), "martingale", points=17)
+        assert natural_envelope(ParetoPower(7.0, centered=True), "martingale", points=17) is env
+        assert natural_envelope(ParetoPower(7.0, centered=True), "martingale", p_grid=env.p_grid) is env
