@@ -28,12 +28,10 @@ returns ``+inf`` and every composition propagates it.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate
 
 from ._optim import chebyshev_grid
 
@@ -278,6 +276,7 @@ class Tabulated(MomentEnvelope):
     upper: Optional[float] = None
     upper_closed: bool = True
     _log_values: np.ndarray = field(init=False, default=None, repr=False)
+    support: SupportInterval = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         ps = np.asarray(self.p_grid, dtype=float)
@@ -297,12 +296,10 @@ class Tabulated(MomentEnvelope):
         object.__setattr__(self, "_log_values", np.log(vals))
         if self.upper is not None and self.upper < ps[-1]:
             raise ValueError("declared upper endpoint lies inside the grid")
-
-    @property
-    def support(self) -> SupportInterval:
-        hi = self.upper if self.upper is not None else float(self.p_grid[-1])
+        # every evaluation consults the support, so it is built once
+        hi = self.upper if self.upper is not None else float(ps[-1])
         closed = self.upper_closed if self.upper is None else False
-        return SupportInterval(float(self.p_grid[0]), hi, upper_closed=closed)
+        object.__setattr__(self, "support", SupportInterval(float(ps[0]), hi, upper_closed=closed))
 
     def evaluable_upper(self) -> Tuple[float, bool]:
         return float(self.p_grid[-1]), True
@@ -585,12 +582,16 @@ def _rv_tail_remainder(tail: RegularVariationTail, p: float, x_from: float) -> f
     Uses the substitution t = log u, turning the heavy-tail integrand into an
     exponentially decaying one that adaptive quadrature handles well.
     """
+    from scipy import integrate
+
     r, gamma = tail.r, tail.gamma
 
     def g(t: float) -> float:
         return math.exp((p - r) * t) * t ** gamma * tail.slowvar(t)
 
-    val, _ = integrate.quad(g, math.log(x_from), math.inf, epsabs=0.0, epsrel=1e-11, limit=400)
+    val = integrate.quad(
+        g, math.log(x_from), math.inf, full_output=1, epsabs=0.0, epsrel=1e-11, limit=400
+    )[0]
     return p * tail.scale * val
 
 
@@ -647,30 +648,27 @@ def moments_from_tail(tail, p: float, rel_tol: float = 1e-9) -> float:
             )
         return p * math.exp(log_term)
 
-    total = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for a, b in ((0.0, 1.0), (1.0, _E)):
-            piece, _ = integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-11, limit=400)
-            total += piece
+    from scipy import integrate
 
-        if isinstance(tail, RegularVariationTail):
-            x_max = 10.0 * _E
-            prev = _E
-            while True:
-                piece, _ = integrate.quad(
-                    f, prev, x_max, epsabs=0.0, epsrel=1e-11, limit=400
-                )
-                total += piece
-                rem = _rv_tail_remainder(tail, p, x_max)
-                if rem <= rel_tol * max(total + rem, 1e-300) or x_max > 1e280:
-                    total += rem
-                    break
-                prev = x_max
-                x_max *= 4.0
-        else:
-            piece, _ = integrate.quad(f, _E, math.inf, epsabs=0.0, epsrel=1e-11, limit=400)
-            total += piece
+    def piece(a: float, b: float) -> float:
+        # full_output returns QUADPACK's roundoff message instead of warning,
+        # which would need the process-global warning filters to silence
+        return integrate.quad(f, a, b, full_output=1, epsabs=0.0, epsrel=1e-11, limit=400)[0]
+
+    total = piece(0.0, 1.0) + piece(1.0, _E)
+    if isinstance(tail, RegularVariationTail):
+        x_max = 10.0 * _E
+        prev = _E
+        while True:
+            total += piece(prev, x_max)
+            rem = _rv_tail_remainder(tail, p, x_max)
+            if rem <= rel_tol * max(total + rem, 1e-300) or x_max > 1e280:
+                total += rem
+                break
+            prev = x_max
+            x_max *= 4.0
+    else:
+        total += piece(_E, math.inf)
 
     if total < 0.0:
         total = 0.0

@@ -181,7 +181,7 @@ class ExperimentPlan:
                 warnings.warn(
                     f"p={float(p):.4g} lies beyond 0.8x the support endpoint"
                     f" {upper:.4g}; the moment estimate will be high-variance",
-                    stacklevel=2,
+                    stacklevel=3,  # the caller of the generated __init__
                 )
 
     @property

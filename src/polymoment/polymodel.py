@@ -29,13 +29,12 @@ import functools
 import math
 import numbers
 import threading
-import warnings
 from dataclasses import dataclass, field, replace
 from math import comb
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate, optimize, special
+import numpy.random  # numpy loads it lazily: load it here, not at the first draw
 
 from .calculus import (
     COMMON_INDEPENDENT,
@@ -293,6 +292,8 @@ def _survival_quad(
     Each exponent gets its own adaptive ``quad``, but their bisections share
     most nodes, so ``X - loc`` is kept per node t for this call only.
     """
+    from scipy import integrate, optimize
+
     nodes: Dict[float, float] = {}  # t -> X - loc at u = u_max e^(-t)
 
     def f(t: float, p: float) -> float:
@@ -335,15 +336,16 @@ def _survival_quad(
     breaks.append(50.0)
     breaks = sorted(set(breaks))
     out = np.empty(len(ps))
-    with warnings.catch_warnings():
-        # roundoff warnings near the moment-existence edge are expected; the
-        # envelope consumers tolerate the precision achievable there
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for i, p in enumerate(map(float, ps)):
-            total = 0.0
-            for a, b in zip(breaks, breaks[1:] + [math.inf]):
-                total += integrate.quad(f, a, b, args=(p,), epsabs=0.0, epsrel=1e-11, limit=400)[0]
-            out[i] = u_max * total
+    # roundoff near the moment-existence edge is expected and tolerated;
+    # full_output returns QUADPACK's message instead of warning, which would
+    # need the process-global warning filters to silence
+    for i, p in enumerate(map(float, ps)):
+        total = 0.0
+        for a, b in zip(breaks, breaks[1:] + [math.inf]):
+            total += integrate.quad(
+                f, a, b, args=(p,), full_output=1, epsabs=0.0, epsrel=1e-11, limit=400
+            )[0]
+        out[i] = u_max * total
     return out
 
 
@@ -450,7 +452,9 @@ class LogPowerOnly(InputDistribution):
         return np.abs(np.log(np.asarray(u, dtype=float))) ** self.mu
 
     def raw_abs_moment(self, p: float) -> float:
-        return float(special.gamma(self.mu * p + 1.0))
+        from scipy.special import gamma
+
+        return float(gamma(self.mu * p + 1.0))
 
     def signed_moment(self, k: int) -> float:
         return self.raw_abs_moment(float(k))
@@ -513,10 +517,12 @@ class DoubleExpDiscrete(InputDistribution):
     def raw_abs_moment(self, p: float) -> float:
         if p >= self.r:
             return math.inf
+        from scipy.special import logsumexp
+
         ks, logw = self._log_weights()
         log_terms = logw + p * np.exp(ks.astype(float))
-        log_norm = special.logsumexp(logw)
-        return float(np.exp(special.logsumexp(log_terms) - log_norm))
+        log_norm = logsumexp(logw)
+        return float(np.exp(logsumexp(log_terms) - log_norm))
 
 
 @dataclass(frozen=True)
@@ -535,7 +541,9 @@ class Weibull(InputDistribution):
         return (-np.log(u) / self.c) ** (1.0 / self.alpha)
 
     def raw_abs_moment(self, p: float) -> float:
-        return float(self.c ** (-p / self.alpha) * special.gamma(1.0 + p / self.alpha))
+        from scipy.special import gamma
+
+        return float(self.c ** (-p / self.alpha) * gamma(1.0 + p / self.alpha))
 
     def signed_moment(self, k: int) -> float:
         return self.raw_abs_moment(float(k))

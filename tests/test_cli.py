@@ -3,6 +3,8 @@ import json
 import math
 import operator
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -256,6 +258,54 @@ class TestVerifyCommand:
         )
         doc = json.loads((tmp_path / "thr.json").read_text())
         assert doc["metadata"]["threads"] == 1
+
+
+_SCIPY_FREE_CHECK = """
+import contextlib, io, sys
+
+import polymoment
+import polymoment.cli
+
+def scipy_free(what):
+    assert "scipy" not in sys.modules, what + " imported scipy"
+
+scipy_free("import")
+assert "numpy.random" in sys.modules, "numpy.random is left to the first draw"
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        polymoment.cli.main(["--help"])
+    except SystemExit as exc:
+        assert exc.code == 0
+scipy_free("--help")
+for name in sys.argv[2:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = polymoment.cli.main(
+            ["verify", "--scenario", name, "--out", sys.argv[1] + "/" + name]
+        )
+    assert code == 0, name
+    scipy_free(name)
+"""
+
+
+class TestImportHygiene:
+    def test_scipy_waits_for_the_first_quadrature(self, tmp_path):
+        # inputs with closed forms or atoms never need a quadrature, so these
+        # scenarios run without loading scipy at all
+        import polymoment
+
+        src = os.path.dirname(os.path.dirname(polymoment.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        ))
+        scenarios = [
+            "pareto_d2_martingale", "pareto_d2_vector", "pareto_reverse_window",
+            "rademacher_d1_doob", "rademacher_d2_common",
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_FREE_CHECK, str(tmp_path), *scenarios],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSimulateCommand:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,14 @@ class TestMomentsFromTail:
         tail = RegularVariationTail(r=4, gamma=-2.5)
         value = moments_from_tail(tail, 4.0)
         assert math.isfinite(value) and value > 0
+
+    def test_quadrature_roundoff_is_not_a_warning(self):
+        # QUADPACK reports roundoff near this boundary moment; it is returned,
+        # not warned, so no process-global warning filter is needed
+        tail = RegularVariationTail(r=4, gamma=-2.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert moments_from_tail(tail, 4.0) > 0
 
 
 class TestEmpiricalMoments:

@@ -131,11 +131,13 @@ class TestRunExperiment:
     def test_high_p_warning(self):
         model = pareto_model([6.0, 6.0], 4)
         chain = natural_zeta_chain(model)
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             ExperimentPlan(
                 model=model, replications=2000, p_grid=np.array([2.7]),
                 bound=chain, seed=0,
             )
+        # attributed to the code that built the plan, not the generated __init__
+        assert record[0].filename == __file__
 
     def test_deterministic_reports(self):
         model = pareto_model([6.0, 8.0], 4)
