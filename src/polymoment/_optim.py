@@ -1,22 +1,20 @@
-"""Scalar minimisation helpers: coarse scan followed by golden-section refinement."""
+"""Scalar minimisation helpers: a scan over caller-given points, then golden-section polish."""
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Tuple
+from typing import Callable, Optional, Sequence, Tuple
+
+import numpy as np
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 def golden_min(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-    max_iter: int = 300,
+    f: Callable[[float], float], lo: float, hi: float, tol: float
 ) -> Tuple[float, float]:
-    """Golden-section minimum of ``f`` on ``[lo, hi]``.
+    """Golden-section minimum of ``f`` on ``[lo, hi]`` to bracket width ``tol > 0``.
 
     Assumes ``f`` is unimodal on the bracket; use :func:`bracketed_min` when the
     objective may have several local minima or infinite plateaus.
@@ -25,14 +23,14 @@ def golden_min(
     """
     a, b = (lo, hi) if lo <= hi else (hi, lo)
     h = b - a
-    if h <= tol or h == 0.0:
+    if h <= tol:
         x = 0.5 * (a + b)
         return x, f(x)
     c = a + _INV_PHI2 * h
     d = a + _INV_PHI * h
     yc, yd = f(c), f(d)
     n = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
-    for _ in range(max(min(n, max_iter) - 1, 0)):
+    for _ in range(max(n - 1, 0)):
         if yc < yd:
             b, d, yd = d, c, yc
             h *= _INV_PHI
@@ -50,33 +48,27 @@ def golden_min(
 
 def bracketed_min(
     f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    coarse: int = 64,
-    tol: float = 1e-10,
+    xs: Sequence[float],
+    ys: Optional[Sequence[float]] = None,
 ) -> Tuple[float, float]:
-    """Minimise ``f`` on ``[lo, hi]``: coarse grid scan, then golden refinement.
+    """Minimise ``f`` over the increasing scan points ``xs``, then polish.
 
+    ``ys`` are the values of ``f`` at ``xs`` when the caller already has them.
     The scan makes the search robust to +inf plateaus (infeasible regions) and
-    mild multimodality; refinement happens between the scan neighbours of the
-    best point.  Returns ``(x, f(x))`` for the best point seen.
+    mild multimodality.  The first minimum of the scan is refined by golden
+    section between its scan neighbours, to a width of ``1e-12`` relative to
+    the right end (at least 1), and kept when it is strictly better than the
+    refinement.  Returns ``(x, f(x))`` for the best point seen.
     """
-    if hi < lo:
-        lo, hi = hi, lo
-    if hi == lo:
-        return lo, f(lo)
-    step = (hi - lo) / (coarse - 1)
-    xs = [lo + step * k for k in range(coarse - 1)] + [hi]
-    ys = [f(x) for x in xs]
-    k = min(range(len(xs)), key=lambda i: ys[i])
-    if math.isinf(ys[k]):
-        return xs[k], ys[k]
-    lo2 = xs[max(k - 1, 0)]
-    hi2 = xs[min(k + 1, len(xs) - 1)]
-    x, y = golden_min(f, lo2, hi2, tol=tol)
-    if ys[k] < y:
-        x, y = xs[k], ys[k]
-    return x, y
+    if ys is None:
+        ys = [f(x) for x in xs]
+    k = int(np.argmin(ys))
+    x, y = float(xs[k]), float(ys[k])
+    if math.isinf(y):
+        return x, y
+    hi = float(xs[min(k + 1, len(xs) - 1)])
+    x_ref, y_ref = golden_min(f, float(xs[max(k - 1, 0)]), hi, tol=1e-12 * max(1.0, hi))
+    return (x, y) if y < y_ref else (x_ref, y_ref)
 
 
 def chebyshev_grid(lo: float, hi: float, n: int):
@@ -85,8 +77,6 @@ def chebyshev_grid(lo: float, hi: float, n: int):
     Points cluster near the endpoints, which suits functions with endpoint
     singularities (moment envelopes near their support edge).
     """
-    import numpy as np
-
     if n < 2:
         raise ValueError("need at least two grid points")
     k = np.arange(n, dtype=float)

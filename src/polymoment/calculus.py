@@ -149,11 +149,10 @@ class OtimesResult(NamedTuple):
 
 
 _INSET = 1e-12  # relative inset from the open feasibility endpoints
+_SCAN = 64  # evenly spaced scan points over the split interval
 
 
-def _otimes_search(
-    nu1: MomentEnvelope, nu2: MomentEnvelope, p: float, coarse: int
-) -> OtimesResult:
+def _otimes_search(nu1: MomentEnvelope, nu2: MomentEnvelope, p: float) -> OtimesResult:
     """Minimise nu1(p/a) * nu2(p/(1-a)) over the feasible split interval.
 
     The search interval comes from the evaluable exponent ranges (tabulated
@@ -170,8 +169,6 @@ def _otimes_search(
     inset = max(_INSET * max(width, 1.0), 1e-300)
     lo = a_lo + inset
     hi = a_hi - inset
-    if hi <= lo:
-        lo = hi = 0.5 * (a_lo + a_hi)
 
     def objective(a: float) -> float:
         if a <= 0.0 or a >= 1.0:
@@ -182,7 +179,12 @@ def _otimes_search(
         v2 = nu2(p / (1.0 - a))
         return v1 * v2
 
-    a_best, v_best = bracketed_min(objective, lo, hi, coarse=coarse, tol=_INSET)
+    if hi <= lo:
+        a_best = 0.5 * (a_lo + a_hi)
+        v_best = objective(a_best)
+    else:
+        step = (hi - lo) / (_SCAN - 1)
+        a_best, v_best = bracketed_min(objective, [lo + step * k for k in range(_SCAN - 1)] + [hi])
     # closed evaluable endpoints are genuinely attainable; include them exactly
     if math.isfinite(r1) and closed1 and 0.0 < a_lo < 1.0:
         v = objective(a_lo)
@@ -199,14 +201,13 @@ def otimes(
     nu1: MomentEnvelope,
     nu2: MomentEnvelope,
     p: float,
-    coarse: int = 64,
     full_output: bool = False,
 ):
     """Infimal Hoelder composition of two envelopes at exponent ``p``.
 
     Returns ``+inf`` when no feasible split exists, i.e. when
     ``p >= (1/r1 + 1/r2)^(-1)`` for the two singularity exponents.  The
-    minimiser is located by a coarse scan over the feasible interval
+    minimiser is located by a 64-point scan over the feasible interval
     ``[p/r1, 1 - p/r2]`` followed by golden-section refinement; the
     objective can be non-convex for exotic slowly varying factors, so
     bracket-then-refine is the robust choice.
@@ -229,7 +230,7 @@ def otimes(
     # exactly for equal inputs
     swapped = r2 < r1
     first, second = (nu2, nu1) if swapped else (nu1, nu2)
-    res = _otimes_search(first, second, p, coarse)
+    res = _otimes_search(first, second, p)
     if swapped and not math.isnan(res.split):
         res = OtimesResult(res.value, 1.0 - res.split)
     return res if full_output else res.value
@@ -274,7 +275,6 @@ def otimes_chain(
     envs: Sequence[MomentEnvelope],
     p_grid: Optional[Sequence[float]] = None,
     points: int = 257,
-    coarse: int = 64,
 ) -> MomentEnvelope:
     """Left fold ``((nu1 (x) nu2) (x) ...) (x) nu_d`` materialised on a grid.
 
@@ -296,7 +296,7 @@ def otimes_chain(
             " has empty exponent domain (reciprocal exponents sum to >= 1)"
         )
     final_grid = None if p_grid is None else np.asarray(p_grid, dtype=float)
-    return _compose_stages(envs[0], uppers[0], envs[1:], final_grid, points, coarse=coarse)[-1]
+    return _compose_stages(envs[0], uppers[0], envs[1:], final_grid, points)[-1]
 
 
 def _stage_from_values(grid: np.ndarray, vals: np.ndarray, upper: float) -> Tabulated:
@@ -315,7 +315,6 @@ def _compose_stages(
     final_grid: Optional[np.ndarray],
     points: int,
     K: Optional[GrowthConstant] = None,
-    coarse: int = 64,
 ) -> list:
     """Fold ``acc`` with each of ``nxts``: stage ``K(p) * (acc (x) nxt)(p)``.
 
@@ -336,7 +335,7 @@ def _compose_stages(
             grid = final_grid
         else:
             grid = _stage_grid(eff_acc, r_acc, points, p_max_hint, final=last)
-        vals = np.array([otimes(acc, nxt, float(p), coarse=coarse) for p in grid])
+        vals = np.array([otimes(acc, nxt, float(p)) for p in grid])
         if K is not None:
             vals = np.array([K(p) for p in grid]) * vals
         acc = _stage_from_values(grid, vals, r_acc)

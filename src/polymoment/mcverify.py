@@ -30,7 +30,6 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .calculus import (
-    GrowthConstant,
     ZetaChain,
     doob_maximal_envelope,
     polynomial_dominant_envelope,
@@ -85,8 +84,6 @@ def natural_zeta_chain(
     p_grid: Optional[Sequence[float]] = None,
     points: int = 257,
     scale: float = 1.0,
-    K_M: Optional[GrowthConstant] = None,
-    K_I: Optional[GrowthConstant] = None,
 ) -> ZetaChain:
     """Bound chain built from the tight envelopes of the model's own cells.
 
@@ -100,7 +97,7 @@ def natural_zeta_chain(
     envs = [natural_envelope(dist, model.regime.tag) for dist in model.distributions]
     if scale != 1.0:
         envs = [Scaled(e, scale) for e in envs]
-    return zeta_chain(model.regime, envs, K_M=K_M, K_I=K_I, p_grid=p_grid, points=points)
+    return zeta_chain(model.regime, envs, p_grid=p_grid, points=points)
 
 
 def auto_p_grid(model: PolynomialModel, points: int = 5, frac: float = 0.9) -> np.ndarray:
@@ -553,7 +550,7 @@ def plan_to_config(plan: ExperimentPlan) -> dict:
     cfg.update(
         p_grid=[float(p) for p in plan.p_grid],
         x_grid=list(plan.x_grid),
-        bound=plan.bound_config or {"kind": "zeta_natural"},
+        bound=plan.bound_config or {"unserializable": "bound given as a Python object"},
         window=list(plan.window) if plan.window else None,
     )
     return cfg

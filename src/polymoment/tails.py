@@ -25,7 +25,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._optim import chebyshev_grid, golden_min
+from ._optim import bracketed_min, chebyshev_grid, golden_min
 from .envelope import (
     EnvelopeDomainError,
     MomentEnvelope,
@@ -115,14 +115,13 @@ class ConjugateSpec:
 def _optimal_exponent(spec: ConjugateSpec, x: float) -> float:
     """Exponent minimising ``p (log k nu(p) - log x)`` over the supplied range.
 
-    Grid scan, golden polish between the best point's neighbours, plus an
-    expanding search above the grid when the optimum presses against the top
-    and the envelope remains finite there (growth envelopes at large x).
+    Grid scan and golden polish (:func:`bracketed_min`), plus an expanding
+    search above the grid when the scan's first minimum is its top point and
+    the envelope remains finite there (growth envelopes at large x).
     """
     logx = math.log(x)
     grid = spec.p_grid
     obj_grid = grid * (spec._log_knu - logx)
-    k = int(np.argmin(obj_grid))
 
     def objective(p: float) -> float:
         lk = spec.log_knu(p)
@@ -130,13 +129,9 @@ def _optimal_exponent(spec: ConjugateSpec, x: float) -> float:
             return math.inf
         return p * (lk - logx)
 
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid.size - 1)]
-    p_best, v_best = golden_min(objective, float(lo), float(hi), tol=1e-12 * max(1.0, hi))
-    if obj_grid[k] < v_best:
-        p_best, v_best = float(grid[k]), float(obj_grid[k])
+    p_best, v_best = bracketed_min(objective, grid, obj_grid)
 
-    if k == grid.size - 1:
+    if np.all(obj_grid[-1] < obj_grid[:-1]):  # the scan's first minimum is its top point
         sup = spec.envelope.support
         # expand beyond the grid while the envelope stays finite and the
         # objective keeps improving
@@ -237,11 +232,13 @@ def regular_variation_tail(
     return min(1.0, max(0.0, v))
 
 
+_MAX_DOUBLINGS = 200  # bracket doublings before fit_tail_rescale gives up
+
+
 def fit_tail_rescale(
     bound: Callable[[float], float],
     x_anchor: float,
     target: float,
-    max_doublings: int = 200,
 ) -> float:
     """Fit the single rescale constant C so that ``bound(x_anchor / C) = target``.
 
@@ -258,13 +255,13 @@ def fit_tail_rescale(
     while bound(y_hi) > target:
         y_hi *= 2.0
         n += 1
-        if n > max_doublings:
+        if n > _MAX_DOUBLINGS:
             return 1.0
     n = 0
     while bound(y_lo) < target and y_lo > 1e-12:
         y_lo *= 0.5
         n += 1
-        if n > max_doublings:
+        if n > _MAX_DOUBLINGS:
             return 1.0
     for _ in range(200):
         mid = math.sqrt(y_lo * y_hi)

@@ -479,7 +479,7 @@ class TestHoelderAndSharpness:
 # ---------------------------------------------------------------------------
 
 
-def ref_otimes_chain(envs, p_grid=None, points=257, coarse=64):
+def ref_otimes_chain(envs, p_grid=None, points=257):
     """The left fold as its own loop (before otimes_chain shared the zeta fold)."""
     from polymoment.calculus import _stage_grid
 
@@ -500,7 +500,7 @@ def ref_otimes_chain(envs, p_grid=None, points=257, coarse=64):
             grid = final_grid
         else:
             grid = _stage_grid(eff_acc, r_acc, points, p_max_hint, final=last)
-        vals = np.array([otimes(acc, nxt, float(p), coarse=coarse) for p in grid])
+        vals = np.array([otimes(acc, nxt, float(p)) for p in grid])
         assert np.all(np.isfinite(vals))
         acc = Tabulated(grid, vals, upper=r_acc if math.isfinite(r_acc) else None)
         eff_acc = acc.evaluable_upper()[0]

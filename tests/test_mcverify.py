@@ -20,8 +20,8 @@ from polymoment import (
     run_experiment,
     variance_of_Q,
 )
-from polymoment.mcverify import auto_p_grid, plan_from_config
-from polymoment.polymodel import model_from_config
+from polymoment.mcverify import auto_p_grid, plan_from_config, plan_to_config
+from polymoment.polymodel import ConfigError, model_from_config
 
 
 def rademacher_model(d, n, tag="common_independent"):
@@ -312,3 +312,17 @@ class TestReports:
         plan = plan_from_config(report.config["plan"], model)
         rerun = run_experiment(plan)
         assert rerun.result_payload() == report.result_payload()
+
+    def test_bound_object_is_not_embedded_as_a_recipe(self):
+        # a chain on the plan's own grid differs from the recipe's default
+        # grid, so the report must not claim it can rebuild the bound
+        model = pareto_model([6.0, 8.0], 4)
+        grid = auto_p_grid(model, points=3)
+        plan = ExperimentPlan(
+            model=model, replications=1000, p_grid=grid,
+            bound=natural_zeta_chain(model, p_grid=grid),
+        )
+        cfg = plan_to_config(plan)
+        assert "unserializable" in cfg["bound"]
+        with pytest.raises(ConfigError, match="plan.bound"):
+            plan_from_config(cfg, model)
