@@ -1,4 +1,4 @@
-"""Scalar minimisation helpers: a scan over caller-given points, then golden-section polish."""
+"""Minimisation helpers: a scan over caller-given points, then golden-section polish."""
 
 from __future__ import annotations
 
@@ -44,6 +44,40 @@ def golden_min(
     if yc < yd:
         return c, yc
     return d, yd
+
+
+def golden_min_rows(f: Callable, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray):
+    """:func:`golden_min` for many rows in lockstep, bit-identical row by row.
+
+    Row ``i`` minimises its own objective on ``[lo[i], hi[i]]`` (``lo <= hi``)
+    to width ``tol[i]``; ``f(rows, xs)`` evaluates row ``rows[j]``'s
+    objective at ``xs[j]``.  Each row takes its own scalar steps and is
+    masked off when done.  Returns the arrays ``(x, f(x))``.
+    """
+    h = hi - lo
+    x, y = 0.5 * (lo + hi), np.empty(lo.shape)
+    narrow = np.flatnonzero(h <= tol)
+    y[narrow] = f(narrow, x[narrow])
+    rows = np.flatnonzero(~(h <= tol))
+    a, h = lo[rows], h[rows]
+    c, d = a + _INV_PHI2 * h, a + _INV_PHI * h
+    yc, yd = f(rows, c), f(rows, d)
+    n = [math.ceil(math.log(t / w) / math.log(_INV_PHI)) for t, w in zip(tol[rows], h)]
+    steps = np.maximum(np.array(n, dtype=int) - 1, 0)
+    for i in range(int(steps.max(initial=0))):
+        on = np.flatnonzero(steps > i)
+        left = yc[on] < yd[on]
+        lt, rt = on[left], on[~left]
+        d[lt], yd[lt] = c[lt], yc[lt]
+        a[rt], c[rt], yc[rt] = c[rt], d[rt], yd[rt]
+        h[on] *= _INV_PHI
+        c[lt] = a[lt] + _INV_PHI2 * h[lt]
+        d[rt] = a[rt] + _INV_PHI * h[rt]
+        y_new = f(rows[on], np.where(left, c[on], d[on]))
+        yc[lt], yd[rt] = y_new[left], y_new[~left]
+    take_c = yc < yd
+    x[rows], y[rows] = np.where(take_c, c, d), np.where(take_c, yc, yd)
+    return x, y
 
 
 def bracketed_min(

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._optim import bracketed_min, chebyshev_grid
+from ._optim import bracketed_min, chebyshev_grid, golden_min_rows
 from .envelope import (
     EnvelopeDomainError,
     MomentEnvelope,
@@ -236,6 +236,69 @@ def otimes(
     return res if full_output else res.value
 
 
+def _otimes_grid(nu1: MomentEnvelope, nu2: MomentEnvelope, ps) -> np.ndarray:
+    """``[otimes(nu1, nu2, p) for p in ps]`` as one array, bit for bit.
+
+    Runs the search of :func:`otimes` for every exponent at once: the same
+    load check, canonical order, inset and 64-point scan, the first minimum
+    of each row polished by :func:`golden_min_rows` in lockstep, and the same
+    closed-endpoint checks.  Envelopes are evaluated through
+    :meth:`MomentEnvelope.values_at`.  Worth it for whole stage grids only: a
+    single exponent is faster through the scalar search.
+    """
+    ps = np.asarray(ps, dtype=float)
+    bad = ps[~(np.isfinite(ps) & (ps >= 1.0))]
+    if bad.size:
+        raise EnvelopeDomainError(f"exponent must be finite and >= 1, got {bad[0]}")
+    load = sum(ps / r for r in (nu1.support.upper, nu2.support.upper) if math.isfinite(r))
+    if nu2.support.upper < nu1.support.upper:
+        nu1, nu2 = nu2, nu1
+    (r1, closed1), (r2, closed2) = nu1.evaluable_upper(), nu2.evaluable_upper()
+    a_lo = ps / r1 if math.isfinite(r1) else 0.0 * ps
+    a_hi = 1.0 - (ps / r2 if math.isfinite(r2) else 0.0 * ps)
+    rows = np.flatnonzero((load < 1.0) & (a_lo < a_hi))
+    p, a_lo, a_hi = ps[rows], a_lo[rows], a_hi[rows]
+
+    def objective(i: np.ndarray, a: np.ndarray) -> np.ndarray:
+        # row i's objective nu1(p/a) * nu2(p/(1-a)) at split a
+        v = np.full(a.shape, math.inf)
+        ok = np.flatnonzero((a > 0.0) & (a < 1.0))
+        v1 = nu1.values_at(p[i[ok]] / a[ok])
+        ok, v1 = ok[~np.isinf(v1)], v1[~np.isinf(v1)]
+        v[ok] = v1 * nu2.values_at(p[i[ok]] / (1.0 - a[ok]))
+        return v
+
+    inset = np.maximum(_INSET * np.maximum(a_hi - a_lo, 1.0), 1e-300)
+    lo, hi = a_lo + inset, a_hi - inset
+    best = np.empty(rows.size)
+    narrow = np.flatnonzero(~(lo < hi))
+    best[narrow] = objective(narrow, 0.5 * (a_lo[narrow] + a_hi[narrow]))
+    wide = np.flatnonzero(lo < hi)
+    xs = lo[wide, None] + ((hi[wide] - lo[wide]) / (_SCAN - 1))[:, None] * np.arange(_SCAN)
+    xs[:, -1] = hi[wide]
+    ys = objective(np.repeat(wide, _SCAN), xs.ravel()).reshape(xs.shape)
+    k = np.argmin(ys, axis=1)
+    y = ys[np.arange(wide.size), k]
+    best[wide] = y
+    fin = np.flatnonzero(~np.isinf(y))
+    k, top = k[fin], xs[fin, np.minimum(k[fin] + 1, _SCAN - 1)]
+    polish = wide[fin]
+    _, y_ref = golden_min_rows(
+        lambda i, a: objective(polish[i], a),
+        xs[fin, np.maximum(k - 1, 0)], top, 1e-12 * np.maximum(1.0, top),
+    )
+    best[polish] = np.where(y[fin] < y_ref, y[fin], y_ref)
+    # closed evaluable endpoints are genuinely attainable; include them exactly
+    for r, closed, a_end in ((r1, closed1, a_lo), (r2, closed2, a_hi)):
+        if math.isfinite(r) and closed:
+            at = np.flatnonzero((0.0 < a_end) & (a_end < 1.0))
+            v = objective(at, a_end[at])
+            best[at] = np.where(v < best[at], v, best[at])
+    out = np.full(ps.shape, math.inf)
+    out[rows] = best
+    return out
+
+
 # smallest end of a growth (infinite-exponent) stage grid
 _GROWTH_GRID_END = 64.0
 
@@ -280,7 +343,8 @@ def otimes_chain(
 
     Intermediate stages are tabulated on their own partial-exponent grids so
     that later compositions can evaluate them anywhere in their feasible
-    range.  A single-element list returns the envelope unchanged.  Raises
+    range; each is composed in one lockstep search (:func:`_otimes_grid`).
+    A single-element list returns the envelope unchanged.  Raises
     :class:`ChainFeasibilityError` when the combined exponent is <= 1.
     """
     envs = list(envs)
@@ -323,7 +387,8 @@ def _compose_stages(
     reports its finite grid end as ``support.upper``.  Each stage is
     tabulated on its own partial-exponent grid (the last one on
     ``final_grid`` when given) and becomes ``acc`` for the next factor.
-    Returns the stages in fold order.
+    One :func:`_otimes_grid` call composes a stage's whole grid, bit-identical
+    to :func:`otimes` at every point.  Returns the stages in fold order.
     """
     p_max_hint = None if final_grid is None else float(final_grid[-1])
     stages = []
@@ -335,7 +400,7 @@ def _compose_stages(
             grid = final_grid
         else:
             grid = _stage_grid(eff_acc, r_acc, points, p_max_hint, final=last)
-        vals = np.array([otimes(acc, nxt, float(p)) for p in grid])
+        vals = _otimes_grid(acc, nxt, grid)
         if K is not None:
             vals = np.array([K(p) for p in grid]) * vals
         acc = _stage_from_values(grid, vals, r_acc)
@@ -446,10 +511,10 @@ def zeta_chain(
     if regime.tag in _PRODUCT_TAGS:
         # pointwise-product recursion: every stage lives on the final grid
         km_vals = np.array([K_M(p) for p in final_grid])
-        vals = np.array([init_K(p) * order[0](p) for p in final_grid])
+        vals = np.array([init_K(p) for p in final_grid]) * order[0].values_at(final_grid)
         stages = [_stage_from_values(final_grid, vals, r_comb)]
         for nu in order[1:]:
-            vals = km_vals * vals * np.array([nu(p) for p in final_grid])
+            vals = km_vals * vals * nu.values_at(final_grid)
             stages.append(_stage_from_values(final_grid, vals, r_comb))
     else:
         # composition recursion: stage m covers its partial combined exponent
@@ -458,7 +523,7 @@ def zeta_chain(
         if len(order) > 1:
             hint = float(final_grid[-1])
             grid = _stage_grid(first.evaluable_upper()[0], r_first, points, hint, final=False)
-        vals = np.array([init_K(p) * first(p) for p in grid])
+        vals = np.array([init_K(p) for p in grid]) * first.values_at(grid)
         stages = [_stage_from_values(grid, vals, r_first)]
         stages += _compose_stages(stages[0], r_first, order[1:], final_grid, points, K=K_M)
 

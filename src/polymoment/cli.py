@@ -233,7 +233,7 @@ def cmd_envelope(args) -> int:
     ps = _parse_grid(args.p)
     if args.action == "eval":
         env = resolve_envelope(args.name, named)
-        lines = ["p,value"] + [f"{_fmt(p)},{_fmt(env(float(p)))}" for p in ps]
+        lines = ["p,value"] + [f"{_fmt(p)},{_fmt(v)}" for p, v in zip(ps, env.values_at(ps))]
     else:
         env_a, env_b = resolve_envelope(args.a, named), resolve_envelope(args.b, named)
         lines = ["p,value,split"]
@@ -253,12 +253,8 @@ def cmd_zeta(args) -> int:
     chain = zeta_chain(regime, inputs, p_grid=grid if grid is not None and grid.size > 1 else None)
     out_grid = chain.bound.p_grid if grid is None else grid
     header = "p," + ",".join(f"zeta_{k + 1}" for k in range(chain.depth))
-    lines = [header]
-    for p in out_grid:
-        row = [_fmt(p)]
-        for stage in chain.stages:
-            row.append(_fmt(stage(float(p))))
-        lines.append(",".join(row))
+    cols = [stage.values_at(out_grid) for stage in chain.stages]
+    lines = [header] + [",".join(map(_fmt, [p, *row])) for p, *row in zip(out_grid, *cols)]
     _emit(lines, args.out)
     return 0
 

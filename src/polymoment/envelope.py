@@ -177,6 +177,11 @@ class MomentEnvelope:
             return math.inf
         return self._value(p)
 
+    def values_at(self, ps) -> np.ndarray:
+        """The envelope at each exponent of ``ps``, equal to the scalar call bit for bit."""
+        ps = np.asarray(ps, dtype=float)
+        return np.fromiter(map(self, ps), float, count=ps.size)
+
     def evaluable_upper(self) -> Tuple[float, bool]:
         """Largest exponent with a finite value, and whether it is attained.
 
@@ -309,6 +314,19 @@ class Tabulated(MomentEnvelope):
         if p < ps[0] or p > ps[-1]:
             return math.inf
         return float(math.exp(np.interp(p, ps, self._log_values)))
+
+    def values_at(self, ps) -> np.ndarray:
+        # one array interpolation; math.exp per element, since np.exp may
+        # round differently from the scalar call
+        ps = np.asarray(ps, dtype=float)
+        if not np.all(np.isfinite(ps) & (ps >= 1.0)):
+            return super().values_at(ps)  # raises the scalar domain error
+        g = self.p_grid
+        inside = (ps >= g[0]) & ((ps < g[-1]) | (ps == g[-1]) & self.support.contains(g[-1]))
+        out = np.full(ps.shape, math.inf)
+        logs = np.interp(ps[inside], g, self._log_values)
+        out[inside] = np.fromiter(map(math.exp, logs), float, count=logs.size)
+        return out
 
 
 @dataclass(frozen=True)

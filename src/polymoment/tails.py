@@ -97,13 +97,14 @@ class ConjugateSpec:
         if not np.all(np.diff(grid) > 0):
             raise ValueError("exponent grid must be strictly increasing")
         log_k = math.log(self.norm_factor)
-        vals = np.array([self.envelope(float(p)) for p in grid])
+        vals = self.envelope.values_at(grid)
         if np.any(~np.isfinite(vals)) or np.any(vals <= 0):
             raise EnvelopeDomainError(
                 "conjugate grid must lie where the envelope is finite and positive"
             )
         object.__setattr__(self, "p_grid", grid)
-        object.__setattr__(self, "_log_knu", np.log(vals) + log_k)
+        # math.log, as in log_knu: np.log may round differently
+        object.__setattr__(self, "_log_knu", np.fromiter(map(math.log, vals), float) + log_k)
 
     def log_knu(self, p: float) -> float:
         v = self.envelope(float(p))

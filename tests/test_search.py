@@ -1,4 +1,5 @@
-"""The shared scan-and-polish search against the two searches it replaced.
+"""The shared scan-and-polish search against the two searches it replaced,
+and the lockstep stage-grid search against the scalar one.
 
 ``otimes`` and the conjugate-tail optimiser used to run their own copies of
 the scan, first-minimum bracket and golden-section polish.  The reference
@@ -19,13 +20,15 @@ from polymoment import (
     Product,
     Scaled,
     SlowlyVarying,
+    Tabulated,
     combined_exponent,
     otimes,
     tail_from_envelope,
     tail_inf_form,
 )
-from polymoment.calculus import OtimesResult
-from polymoment.envelope import MomentEnvelope
+from polymoment import calculus
+from polymoment.calculus import DoobMaximal, OtimesResult, _otimes_grid
+from polymoment.envelope import EnvelopeDomainError, MomentEnvelope
 from polymoment.polymodel import ParetoPower, Rademacher, natural_envelope
 
 # ---------------------------------------------------------------------------
@@ -289,3 +292,89 @@ def test_growth_tail_at_large_threshold_expands_above_the_grid():
     obj_grid = spec.p_grid * (spec._log_knu - math.log(1e6))
     assert int(np.argmin(obj_grid)) == spec.p_grid.size - 1
     assert ref_optimal_exponent(spec, 1e6) > 2.0 * spec.p_grid[-1]
+
+
+# ---------------------------------------------------------------------------
+# whole stage grids: the lockstep search against the scalar one
+# ---------------------------------------------------------------------------
+
+
+def same_bits(got, want):
+    want = np.array(want, dtype=float)
+    return got.dtype == np.float64 and got.shape == want.shape and np.array_equal(
+        got.view(np.int64), want.view(np.int64)
+    )
+
+
+def _grid_points(edge):
+    if not math.isfinite(edge):
+        return np.array([1.0, 2.5, 17.0, 60.0, 1e3, 5.0, 1.0])
+    # unsorted on purpose: interior points, splits narrow enough for the
+    # golden polish to stop at once (1 - 3e-11) or to scan only a midpoint
+    # (1 - 1e-13), the infeasible edge itself and points beyond it
+    near = edge * (1.0 - np.array([1e-3, 1e-6, 1e-9, 3e-11, 1e-13]))
+    return np.concatenate([np.linspace(1.0, edge, 9), near, [edge * 1.5, 1.0]])
+
+
+@pytest.mark.parametrize("first,second", _PAIRS)
+def test_otimes_grid_matches_scalar_otimes(first, second):
+    envs = _envelopes()
+    nu1, nu2 = envs[first], envs[second]
+    ps = _grid_points(combined_exponent([nu1.support.upper, nu2.support.upper]))
+    for a, b in ((nu1, nu2), (nu2, nu1)):
+        want = [otimes(a, b, p) for p in ps]
+        assert all(type(v) is float for v in want)
+        assert same_bits(_otimes_grid(a, b, ps), want), (first, second)
+
+
+def test_otimes_grid_whole_grid_infeasible_and_domain():
+    nu1, nu2 = Indicator(r=2.0), PowerSingularity(r=3.0)
+    ps = np.array([1.2, 1.5, 3.0])  # load >= 1 everywhere
+    assert same_bits(_otimes_grid(nu1, nu2, ps), [otimes(nu1, nu2, p) for p in ps])
+    assert _otimes_grid(nu1, nu2, np.array([])).shape == (0,)
+    for bad in (0.5, math.inf, math.nan):
+        with pytest.raises(EnvelopeDomainError):
+            _otimes_grid(nu1, nu2, np.array([1.0, bad]))
+
+
+def test_compose_stages_match_scalar_fold(monkeypatch):
+    envs = [
+        natural_envelope(ParetoPower(6.0), "martingale", points=65),
+        natural_envelope(ParetoPower(8.0), "martingale", points=65),
+        Scaled(PowerSingularity(r=9.0, power=0.5), 1.5),
+    ]
+    got = calculus._compose_stages(envs[0], 6.0, envs[1:], None, 65)
+    monkeypatch.setattr(
+        calculus, "_otimes_grid", lambda a, b, ps: np.array([otimes(a, b, p) for p in ps])
+    )
+    want = calculus._compose_stages(envs[0], 6.0, envs[1:], None, 65)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.p_grid, w.p_grid) and same_bits(g.values, w.values)
+
+
+def _value_envelopes():
+    envs = dict(_envelopes())
+    envs["lower_bounded"] = PowerSingularity(r=6.0, lower=2.0)
+    envs["doob"] = DoobMaximal(PowerSingularity(r=6.0))
+    envs["tabulated_open_end"] = Tabulated(
+        [1.0, 2.0, 4.0], [1.0, 1.5, 3.0], upper=None, upper_closed=False
+    )
+    envs["tabulated_declared_upper"] = Tabulated([1.0, 2.0, 4.0], [1.0, 1.5, 3.0], upper=7.0)
+    return envs
+
+
+@pytest.mark.parametrize("name", list(_value_envelopes()))
+def test_values_at_matches_scalar_call(name):
+    env = _value_envelopes()[name]
+    ps = [1.0, 1.0 + 1e-12, 1.5, 2.0, 3.3, 4.0, 4.5, 5.0, 5.999, 6.0, 6.5, 9.0, 12.0, 300.0]
+    grid = getattr(env, "p_grid", None)
+    if grid is not None:
+        ps += list(grid) + list(0.5 * (grid[1:] + grid[:-1]))
+    ps = np.array(ps)
+    ps = ps[ps > 1.0] if name == "doob" else ps  # p/(p-1) is undefined at 1
+    want = [env(p) for p in ps]
+    assert all(type(v) is float for v in want)
+    assert same_bits(env.values_at(ps), want)
+    assert env.values_at(np.array([])).shape == (0,)
+    with pytest.raises(EnvelopeDomainError):
+        env.values_at(np.array([2.0, 0.5]))

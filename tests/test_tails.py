@@ -32,6 +32,22 @@ def random_tabulated(rng):
 
 
 class TestConjugateTail:
+    @pytest.mark.parametrize("name", ["natural_pareto", "singularity", "growth"])
+    def test_grid_objective_equals_log_knu(self, name):
+        # the scan and the golden polish must weigh values of one logarithm;
+        # np.log differs from math.log in the last bit at one of these points
+        from polymoment import PowerSingularity
+        from polymoment.polymodel import ParetoPower, natural_envelope
+
+        env = {
+            "natural_pareto": lambda: natural_envelope(ParetoPower(6.0), "martingale"),
+            "singularity": lambda: PowerSingularity(5.0, 1.3),
+            "growth": lambda: PowerGrowth(0.5, 1.3),
+        }[name]()
+        spec = ConjugateSpec(env, norm_factor=1.7)
+        for i, p in enumerate(spec.p_grid):
+            assert spec._log_knu[i] == spec.log_knu(p), (i, p)
+
     def test_indicator_inverse_power(self):
         spec = ConjugateSpec(Indicator(r=4))
         t = tail_from_envelope(spec, 10.0)
