@@ -307,7 +307,9 @@ class Tabulated(MomentEnvelope):
         object.__setattr__(self, "support", SupportInterval(float(ps[0]), hi, upper_closed=closed))
 
     def evaluable_upper(self) -> Tuple[float, bool]:
-        return float(self.p_grid[-1]), True
+        # the grid end is attained unless the support is open there
+        end = float(self.p_grid[-1])
+        return end, self.support.contains(end)
 
     def _value(self, p: float) -> float:
         ps = self.p_grid

@@ -100,7 +100,12 @@ def natural_zeta_chain(
     return zeta_chain(model.regime, envs, p_grid=p_grid, points=points)
 
 
-def auto_p_grid(model: PolynomialModel, points: int = 5, frac: float = 0.9) -> np.ndarray:
+# the default auto grid stays strictly below this fraction of the moment
+# boundary; a plan warns for exponents at or beyond it
+HIGH_P_FRAC = 0.9
+
+
+def auto_p_grid(model: PolynomialModel, points: int = 5, frac: float = HIGH_P_FRAC) -> np.ndarray:
     """Exponent grid strictly inside (1, frac * combined moment boundary)."""
     r = model.combined_r
     if not math.isfinite(r):
@@ -174,9 +179,9 @@ class ExperimentPlan:
                     f"support exceeded: bound is infinite at p={float(p):.6g}"
                     f" (support upper endpoint {upper:.6g})"
                 )
-            if math.isfinite(upper) and p > 0.8 * upper:
+            if math.isfinite(upper) and p >= HIGH_P_FRAC * upper:
                 warnings.warn(
-                    f"p={float(p):.4g} lies beyond 0.8x the support endpoint"
+                    f"p={float(p):.4g} lies at or beyond {HIGH_P_FRAC}x the support endpoint"
                     f" {upper:.4g}; the moment estimate will be high-variance",
                     stacklevel=3,  # the caller of the generated __init__
                 )

@@ -834,6 +834,11 @@ def power_mean(model: PolynomialModel, slot: int) -> float:
     return _moments(dist, [k], loc, signed=True)[0] / scale ** k
 
 
+# term products per block of a general tensor's Q: 32K doubles (256 KB) stay
+# in one core's L2 cache
+BLOCK_ELEMENTS = 1 << 15
+
+
 class Sampler:
     """Sampling and Q evaluation for one model, prepared once and shared by all batches.
 
@@ -876,13 +881,20 @@ class Sampler:
         if window is not None:
             tensor = tensor.restrict(self.i_lo, i_hi)
         self.coef = next(iter(tensor.entries.values())) if tensor.is_uniform else None
-        # general tensors: lexicographic terms, and the same grouped by last
-        # index for the running maximum
-        self.terms = [(tuple(i - self.i_lo for i in I), b) for I, b in tensor.items_sorted()]
-        by_last: Dict[int, list] = {}
-        for term in self.terms:
-            by_last.setdefault(term[0][-1], []).append(term)
-        self.terms_by_last = [by_last[k] for k in sorted(by_last)]
+        if self.coef is None:
+            # general tensors: the lexicographic terms as (slots, K) row
+            # indices and a (K, 1) coefficient column, and the same per
+            # last-index group (in increasing order) for the running maximum
+            items = tensor.items_sorted()
+            rows = np.array([I for I, _ in items], dtype=np.intp).reshape(len(items), tensor.d)
+            rows = np.ascontiguousarray(rows.T - self.i_lo)
+            coefs = np.array([b for _, b in items]).reshape(-1, 1)
+            self.terms = [(rows, coefs)]
+            # not np.unique: its first call imports numpy.ma (15-30 ms)
+            last = rows[-1]
+            self.terms_by_last = [
+                (rows[:, last == k], coefs[last == k]) for k in sorted(set(last.tolist()))
+            ]
         self._local = threading.local()
 
     def _buffers(self, size: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -963,13 +975,19 @@ class Sampler:
                 if running_max:
                     np.maximum(best, np.abs(self.coef * P[slots]), out=best)
             return best if running_max else self.coef * P[slots]
+        # blocks of at most BLOCK_ELEMENTS term products, each summed in
+        # order onto q: bit for bit the term-by-term loop q += ((b*f0)*f1)...
+        # (size 1 takes one term a block: a (K, 1) reduce would sum pairwise)
+        block = max(1, BLOCK_ELEMENTS // size) if size > 1 else 1
         q = np.zeros(size)
-        for group in self.terms_by_last if running_max else [self.terms]:
-            for I, b in group:
-                term = b * factors[I[0], 0]
-                for m in range(1, len(I)):
-                    term *= factors[I[m], m]
-                q += term
+        for rows, coefs in self.terms_by_last if running_max else self.terms:
+            for lo in range(0, len(coefs), block):
+                blk = rows[:, lo:lo + block]
+                t = coefs[lo:lo + block] * factors[blk[0], 0]
+                for m in range(1, len(blk)):
+                    t *= factors[blk[m], m]
+                t[0] += q
+                q = np.add.reduce(t, axis=0)
             if running_max:
                 np.maximum(best, np.abs(q), out=best)
         return best if running_max else q
@@ -1121,21 +1139,6 @@ def normalize_model(model: PolynomialModel) -> PolynomialModel:
     new_entries = {I: b * factor for I, b in model.coefficients.entries.items()}
     new_tensor = CoefficientTensor(model.coefficients.d, model.coefficients.n, new_entries)
     return replace(model, coefficients=new_tensor, distributions=tuple(new_dists))
-
-
-# ---------------------------------------------------------------------------
-# finite-support enumeration support (used by the brute-force oracles)
-# ---------------------------------------------------------------------------
-
-
-def enumeration_states(model: PolynomialModel, limit: int = 1 << 24):
-    """Exact joint states of a finitely supported model.
-
-    Returns ``(cells, probs)`` where cells has shape (states, n, slots) and
-    probs are exact joint probabilities (see :meth:`Sampler.enumerate`).
-    """
-    factors, probs = Sampler(model).enumerate(limit)
-    return np.ascontiguousarray(factors.transpose(2, 0, 1)), probs
 
 
 # ---------------------------------------------------------------------------

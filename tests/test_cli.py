@@ -141,6 +141,13 @@ class TestVerifyCommand:
         assert doc["schema_version"] == 1
         assert (tmp_path / "rep_moments.csv").exists()
 
+    @pytest.mark.filterwarnings("error::UserWarning")
+    @pytest.mark.parametrize("name", ["pareto_d2_inside", "pareto_diagonal_degree2"])
+    def test_bundled_grid_does_not_warn(self, capsys, tmp_path, name):
+        # their grids end below HIGH_P_FRAC of the bound's support endpoint
+        code, _, _ = run_cli(capsys, "verify", "--scenario", name, "--out", str(tmp_path / name))
+        assert code == 0
+
     def test_broken_bound_exits_3(self, capsys, tmp_path):
         cfg = {
             "name": "broken",

@@ -97,6 +97,12 @@ class TestEvaluation:
         assert env(3.0) == math.inf  # inside support, beyond the grid
         assert env.evaluable_upper() == (2.0, True)
 
+    def test_tabulated_open_grid_end_is_not_attained(self):
+        for upper in (None, 4.0):
+            env = Tabulated([1.0, 2.0, 4.0], [1.0, 1.5, 3.0], upper=upper, upper_closed=False)
+            assert env(4.0) == math.inf
+            assert env.evaluable_upper() == (4.0, False)
+
     def test_product_support_intersection(self):
         env = Product((Indicator(r=3), Indicator(r=5)))
         assert env.support.upper == 3.0

@@ -36,12 +36,13 @@ from polymoment import (
     variance_of_Q,
 )
 from polymoment.polymodel import (
+    BLOCK_ELEMENTS,
+    Sampler,
     _stream,
     batch_plan,
     cell_abs_moment,
     cell_loc_scale,
     cell_sigma,
-    enumeration_states,
     iter_q_batches,
     model_from_config,
     model_to_config,
@@ -231,8 +232,8 @@ class TestSampling:
 
     def test_rademacher_exact_enumeration(self):
         model = common_model(2, 3, [Rademacher(), Rademacher()])
-        cells, probs = enumeration_states(model)
-        assert cells.shape[0] == 2 ** 6
+        factors, probs = Sampler(model).enumerate()
+        assert factors.shape[-1] == 2 ** 6  # time-major: states last
         assert probs.sum() == pytest.approx(1.0)
         q = sample_Q(model, 1, 400000)
         for p in [1, 2, 3, 4]:
@@ -480,12 +481,12 @@ class TestEnumerationGuards:
     def test_state_space_too_large(self):
         model = common_model(2, 13, [Rademacher(), Rademacher()])
         with pytest.raises(ValueError):
-            enumeration_states(model)
+            Sampler(model).enumerate()
 
     def test_continuous_inputs_rejected(self):
         model = common_model(2, 3, [ParetoPower(6.0), ParetoPower(6.0)])
         with pytest.raises(ValueError):
-            enumeration_states(model)
+            Sampler(model).enumerate()
 
 
 # ---------------------------------------------------------------------------
@@ -712,6 +713,85 @@ class TestReferenceIdentity:
         parts = np.split(q, np.cumsum(batch_plan(3000))[:-1])
         total = sum(np.sum(np.abs(part) ** 1.5) for part in parts)
         assert report.moment_rows[0].empirical == (total / 3000.0) ** (1.0 / 1.5)
+
+
+class TestBlockPath:
+    """General-tensor Q in blocks of terms equals the per-term ref_q bit for bit."""
+
+    pareto = staticmethod(TestReferenceIdentity.pareto)
+
+    @staticmethod
+    def check(model, size, window=None, seed=21):
+        i_lo, i_hi = (1, model.n) if window is None else window
+        tensor = model.coefficients
+        if window is not None:
+            tensor = tensor.restrict(i_lo, i_hi)
+        sampler = Sampler(model, window)
+        factors = sampler.factors(sampler.cells(seed, 0, size))
+        want = ref_factors(model, ref_cells(model, seed, 0, size, window))
+        for running_max in (False, True):
+            got = sampler.q(factors, running_max)
+            assert_identical(got, ref_q(want, tensor, i_lo, running_max))
+
+    def model_220(self, tag="martingale"):
+        tensor = CoefficientTensor.random_unit(3, 12, np.random.default_rng(5))
+        return self.pareto(tag, 3, 12, tensor=tensor)
+
+    @pytest.mark.parametrize("tag", ["common_independent", "martingale"])
+    def test_several_blocks_with_a_ragged_last(self, tag):
+        model = self.model_220(tag)
+        block = BLOCK_ELEMENTS // 1024
+        assert len(model.coefficients.entries) == 220 and 220 // block > 1 and 220 % block
+        self.check(model, 1024)
+
+    def test_sparse_groups_with_gaps_and_windows(self):
+        entries = {(1, 2, 5): 0.3, (2, 3, 5): -0.5, (1, 4, 9): 0.7, (3, 6, 9): 0.2,
+                   (2, 7, 11): -0.1}
+        model = self.pareto("martingale", 3, 12, tensor=CoefficientTensor(3, 12, entries))
+        # (4, 8) keeps no term at all
+        for window in [None, (1, 12), (2, 11), (3, 9), (4, 8)]:
+            self.check(model, 1024, window)
+            self.check(model, 7, window)
+
+    def test_single_entry_and_degree_one(self):
+        single = CoefficientTensor.single(3, 12, (2, 5, 9))
+        self.check(self.pareto("martingale", 3, 12, tensor=single), 1024)
+        tensor = CoefficientTensor.random_unit(1, 12, np.random.default_rng(7))
+        self.check(self.pareto("vector_independent", 1, 12, tensor=tensor), 1024)
+
+    def test_one_term_per_block(self):
+        assert max(1, BLOCK_ELEMENTS // 40_000) == 1
+        self.check(self.model_220(), 40_000)
+
+    def test_batch_of_one(self):
+        # a (K, 1) block would be reduced pairwise, not row by row
+        for seed in range(8):
+            self.check(self.model_220(), 1, seed=seed)
+
+    @pytest.mark.parametrize("experiment", [run_experiment, doob_experiment])
+    def test_batch_of_one_payload(self, experiment, monkeypatch):
+        assert batch_plan(1025) == [1024, 1]
+        model = self.model_220()
+        kind = "doob" if experiment is doob_experiment else "standard"
+        plan = flat_plan(model, reps=1025, seed=9, experiment=kind)
+        got = experiment(plan).result_payload()
+
+        def per_term_q(sampler, factors, running_max=False):
+            return ref_q(factors.transpose(2, 0, 1), model.coefficients, 1, running_max)
+
+        monkeypatch.setattr(Sampler, "q", per_term_q)
+        assert experiment(plan).result_payload() == got
+
+    @pytest.mark.parametrize("experiment", [run_experiment, doob_experiment])
+    def test_thread_counts_agree(self, experiment):
+        model = self.model_220()
+        kind = "doob" if experiment is doob_experiment else "standard"
+        payloads = [
+            experiment(flat_plan(model, reps=20_000, seed=9, threads=t, experiment=kind))
+            .result_payload()
+            for t in (1, 2, 8)
+        ]
+        assert payloads[0] == payloads[1] == payloads[2]
 
 
 class TestLogPerturbedPareto:

@@ -327,6 +327,24 @@ def test_otimes_grid_matches_scalar_otimes(first, second):
         assert same_bits(_otimes_grid(a, b, ps), want), (first, second)
 
 
+def test_open_tabulated_end_is_not_an_attained_split(evaluations, monkeypatch):
+    # the closed-endpoint check evaluates nu1 at its evaluable upper exponent;
+    # a tabulated envelope open at its grid end is infinite there, so neither
+    # search may evaluate it (the scan stays a relative 1e-12 inside)
+    tab = Tabulated([1.0, 2.0, 4.0], [1.0, 1.5, 3.0], upper_closed=False)
+    nu2 = PowerSingularity(r=6.0)
+    ps = np.array([1.5, 2.0, 2.3])
+    want = [otimes(tab, nu2, p) for p in ps]
+    assert max(q for env, q in evaluations if env == id(tab)) < 4.0 * (1.0 - 1e-13)
+    seen = []
+    values_at = Tabulated.values_at
+    monkeypatch.setattr(
+        Tabulated, "values_at", lambda env, qs: seen.extend(qs) or values_at(env, qs)
+    )
+    assert same_bits(_otimes_grid(tab, nu2, ps), want)
+    assert max(seen) < 4.0 * (1.0 - 1e-13)
+
+
 def test_otimes_grid_whole_grid_infeasible_and_domain():
     nu1, nu2 = Indicator(r=2.0), PowerSingularity(r=3.0)
     ps = np.array([1.2, 1.5, 3.0])  # load >= 1 everywhere

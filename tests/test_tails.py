@@ -126,6 +126,13 @@ class TestConjugateTail:
         with pytest.raises(EnvelopeDomainError):
             ConjugateSpec(Indicator(r=4), p_grid=[2.0, 4.5])
 
+    def test_open_tabulated_end_stays_off_the_default_grid(self):
+        # the envelope is infinite at its grid end, so the grid must stop short
+        env = Tabulated([1.0, 2.0, 4.0], [1.0, 1.5, 3.0], upper_closed=False)
+        spec = ConjugateSpec(env)
+        assert spec.p_grid[-1] < 4.0
+        assert 0.0 < tail_from_envelope(spec, 10.0) < 1.0
+
     def test_conjugate_tail_object(self):
         tail = ConjugateTail(ConjugateSpec(Indicator(r=4)))
         assert tail(10.0) == pytest.approx(1e-4, rel=1e-9)
