@@ -1,8 +1,13 @@
-"""Minimisation helpers: a scan over caller-given points, then golden-section polish."""
+"""Numerical helpers: scan-and-golden-section minimisation, and scipy's QUADPACK and brentq."""
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -118,3 +123,50 @@ def chebyshev_grid(lo: float, hi: float, n: int):
     nodes[0] = lo
     nodes[-1] = hi
     return nodes
+
+
+_LOAD_LOCK = threading.Lock()
+
+
+def _extension_file(name: str) -> Optional[str]:
+    """Path of scipy's compiled module ``name``; finding scipy does not import it."""
+    base = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                        *name.split(".")[1:])
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    return next((base + s for s in suffixes if os.path.isfile(base + s)), None)
+
+
+def _extension(name: str):
+    """scipy's compiled module ``name``, loaded from its file without its packages'
+    ``__init__`` (``import scipy.integrate`` takes about 0.7 s) and registered in
+    ``sys.modules``, where a later import finds it; without a file, a plain import."""
+    with _LOAD_LOCK:
+        if name not in sys.modules and (path := _extension_file(name)):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            sys.modules[name] = module
+    return sys.modules.get(name) or importlib.import_module(name)
+
+
+def quad(f: Callable[..., float], a: float, b: float, args: tuple = ()) -> float:
+    """``scipy.integrate.quad(f, a, b, args, full_output=1, epsabs=0.0, epsrel=1e-11,
+    limit=400)[0]`` for ``a <= b <= inf``, bit for bit; it never warns either."""
+    if a == b:
+        return 0.0
+    qp = _extension("scipy.integrate._quadpack")
+    if b == math.inf:
+        return qp._qagie(f, a, 1, args, 1, 0.0, 1e-11, 400)[0]
+    return qp._qagse(f, a, b, args, 1, 0.0, 1e-11, 400)[0]
+
+
+def brentq(f: Callable[[float], float], a: float, b: float) -> float:
+    """``scipy.optimize.brentq(f, a, b)``, bit for bit; ``ValueError`` on a NaN, as there."""
+
+    def checked(x: float) -> float:
+        if math.isnan(fx := f(x)):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    zeros = _extension("scipy.optimize._zeros")
+    return zeros._brentq(checked, a, b, 2e-12, 4 * sys.float_info.epsilon, 100, (), 0, True)

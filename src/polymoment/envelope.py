@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._optim import chebyshev_grid
+from ._optim import chebyshev_grid, quad
 
 __all__ = [
     "EnvelopeDomainError",
@@ -602,16 +602,12 @@ def _rv_tail_remainder(tail: RegularVariationTail, p: float, x_from: float) -> f
     Uses the substitution t = log u, turning the heavy-tail integrand into an
     exponentially decaying one that adaptive quadrature handles well.
     """
-    from scipy import integrate
-
     r, gamma = tail.r, tail.gamma
 
     def g(t: float) -> float:
         return math.exp((p - r) * t) * t ** gamma * tail.slowvar(t)
 
-    val = integrate.quad(
-        g, math.log(x_from), math.inf, full_output=1, epsabs=0.0, epsrel=1e-11, limit=400
-    )[0]
+    val = quad(g, math.log(x_from), math.inf)
     return p * tail.scale * val
 
 
@@ -668,19 +664,12 @@ def moments_from_tail(tail, p: float, rel_tol: float = 1e-9) -> float:
             )
         return p * math.exp(log_term)
 
-    from scipy import integrate
-
-    def piece(a: float, b: float) -> float:
-        # full_output returns QUADPACK's roundoff message instead of warning,
-        # which would need the process-global warning filters to silence
-        return integrate.quad(f, a, b, full_output=1, epsabs=0.0, epsrel=1e-11, limit=400)[0]
-
-    total = piece(0.0, 1.0) + piece(1.0, _E)
+    total = quad(f, 0.0, 1.0) + quad(f, 1.0, _E)
     if isinstance(tail, RegularVariationTail):
         x_max = 10.0 * _E
         prev = _E
         while True:
-            total += piece(prev, x_max)
+            total += quad(f, prev, x_max)
             rem = _rv_tail_remainder(tail, p, x_max)
             if rem <= rel_tol * max(total + rem, 1e-300) or x_max > 1e280:
                 total += rem
@@ -688,7 +677,7 @@ def moments_from_tail(tail, p: float, rel_tol: float = 1e-9) -> float:
             prev = x_max
             x_max *= 4.0
     else:
-        total += piece(_E, math.inf)
+        total += quad(f, _E, math.inf)
 
     if total < 0.0:
         total = 0.0

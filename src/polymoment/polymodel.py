@@ -44,7 +44,7 @@ from .calculus import (
     combined_exponent,
 )
 from .envelope import MomentEstimate, SlowlyVarying, Tabulated, _moment_estimate
-from ._optim import chebyshev_grid
+from ._optim import brentq, chebyshev_grid, quad
 
 __all__ = [
     "IndexTuple",
@@ -292,8 +292,6 @@ def _survival_quad(
     Each exponent gets its own adaptive ``quad``, but their bisections share
     most nodes, so ``X - loc`` is kept per node t for this call only.
     """
-    from scipy import integrate, optimize
-
     nodes: Dict[float, float] = {}  # t -> X - loc at u = u_max e^(-t)
 
     def f(t: float, p: float) -> float:
@@ -330,21 +328,18 @@ def _survival_quad(
         try:
             lo, hi = 1e-9, 60.0
             if h(lo) * h(hi) < 0:
-                breaks.append(float(optimize.brentq(h, lo, hi)))
+                breaks.append(float(brentq(h, lo, hi)))
         except ValueError:
             pass
     breaks.append(50.0)
     breaks = sorted(set(breaks))
     out = np.empty(len(ps))
     # roundoff near the moment-existence edge is expected and tolerated;
-    # full_output returns QUADPACK's message instead of warning, which would
-    # need the process-global warning filters to silence
+    # quad never warns, so no process-global warning filter is needed
     for i, p in enumerate(map(float, ps)):
         total = 0.0
         for a, b in zip(breaks, breaks[1:] + [math.inf]):
-            total += integrate.quad(
-                f, a, b, args=(p,), full_output=1, epsabs=0.0, epsrel=1e-11, limit=400
-            )[0]
+            total += quad(f, a, b, args=(p,))
         out[i] = u_max * total
     return out
 

@@ -294,24 +294,72 @@ for name in sys.argv[2:]:
 """
 
 
+_EXTENSIONS_ONLY_CHECK = """
+import contextlib, io, math, sys
+
+import polymoment.cli
+from polymoment._optim import brentq, quad
+
+for name in sys.argv[2:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = polymoment.cli.main(
+            ["verify", "--scenario", name, "--out", sys.argv[1] + "/" + name]
+        )
+    assert code == 0, name
+    for package in ("scipy.integrate", "scipy.optimize"):
+        assert package not in sys.modules, name + " imported " + package
+quadpack = sys.modules["scipy.integrate._quadpack"]
+zeros = sys.modules["scipy.optimize._zeros"]
+
+def f(t, p):
+    return math.exp(p * math.log1p(t) - t)
+
+def h(x):
+    return x * x - 2.0
+
+from scipy import integrate, optimize
+
+assert sys.modules["scipy.integrate._quadpack"] is quadpack
+assert sys.modules["scipy.optimize._zeros"] is zeros
+assert integrate._quadpack_py._quadpack is quadpack
+assert optimize._zeros_py._zeros is zeros
+for a, b in ((0.0, 50.0), (50.0, math.inf)):
+    want = integrate.quad(f, a, b, args=(2.5,), full_output=1, epsabs=0.0, epsrel=1e-11, limit=400)
+    assert quad(f, a, b, (2.5,)).hex() == want[0].hex(), (a, b)
+assert brentq(h, 0.0, 2.0).hex() == optimize.brentq(h, 0.0, 2.0).hex()
+"""
+
+
+def fresh_process(script, *argv):
+    import polymoment
+
+    src = os.path.dirname(os.path.dirname(polymoment.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    ))
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+
+
 class TestImportHygiene:
     def test_scipy_waits_for_the_first_quadrature(self, tmp_path):
         # inputs with closed forms or atoms never need a quadrature, so these
         # scenarios run without loading scipy at all
-        import polymoment
-
-        src = os.path.dirname(os.path.dirname(polymoment.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))
-        ))
         scenarios = [
             "pareto_d2_martingale", "pareto_d2_vector", "pareto_reverse_window",
             "rademacher_d1_doob", "rademacher_d2_common",
         ]
-        proc = subprocess.run(
-            [sys.executable, "-c", _SCIPY_FREE_CHECK, str(tmp_path), *scenarios],
-            env=env, capture_output=True, text=True, timeout=600,
-        )
+        proc = fresh_process(_SCIPY_FREE_CHECK, str(tmp_path), *scenarios)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_quadrature_loads_only_the_extensions(self, tmp_path):
+        # inside this test process scipy.stats has loaded scipy.integrate, so
+        # only a fresh interpreter takes the direct extension load; a later
+        # import of the packages must reuse the loaded modules
+        scenarios = ["pareto_d2_common", "pareto_d2_inside", "pareto_diagonal_degree2"]
+        proc = fresh_process(_EXTENSIONS_ONLY_CHECK, str(tmp_path), *scenarios)
         assert proc.returncode == 0, proc.stderr
 
 

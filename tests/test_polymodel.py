@@ -1057,6 +1057,150 @@ class TestSurvivalQuadGrid:
         assert power_mean(model, 0) == ref_power_mean(model, 0)
 
 
+QUADPACK, BRENTQ = "scipy.integrate._quadpack", "scipy.optimize._zeros"
+
+
+def public_quad(f, a, b, args=()):
+    from scipy import integrate
+
+    return integrate.quad(f, a, b, args=args, full_output=1, epsabs=0.0, epsrel=1e-11, limit=400)
+
+
+def lpp_crossing(t):
+    """X - E X at u = e^(-t) for the centered log-perturbed Pareto: its root is a breakpoint."""
+    return float(LPP_LOG.survival_quantile(np.array([math.exp(-t)]))[0]) - 0.3
+
+
+def edge_integrand(t, p):
+    """The survival integrand of Pareto 6 at p just below 6: QUADPACK reports roundoff."""
+    return math.exp(p * t / 6.0 - t)
+
+
+class TestScipyExtensions:
+    """``_optim.quad`` and ``_optim.brentq`` against scipy's public calls, bit for bit."""
+
+    CASES = [
+        (lambda t: math.exp(-t) * math.log1p(t), 0.0, 50.0, ()),
+        (lambda t, p: math.exp(p * math.log1p(t) - t), 0.0, 1.7, (2.5,)),
+        (lambda t, p: math.exp(p * math.log1p(t) - t), 50.0, math.inf, (2.5,)),
+        (lambda t: 1.0 / (1.0 + t * t), 0.0, math.inf, ()),
+        (lambda t: 1.0 / math.sqrt(abs(t - 0.3)), 0.0, 1.0, ()),
+        (lambda t: 1.0, 2.0, 2.0, ()),
+        (lambda t: 1.0, math.inf, math.inf, ()),
+    ]
+
+    @pytest.mark.parametrize("f, a, b, args", CASES, ids=[
+        "finite", "finite_args", "half_line_args", "half_line", "singular", "empty",
+        "empty_at_inf"])
+    def test_quad_matches_scipy(self, f, a, b, args):
+        from polymoment._optim import quad
+
+        got, want = quad(f, a, b, args), public_quad(f, a, b, args)[0]
+        assert type(got) is float and got.hex() == want.hex()
+
+    def test_roundoff_gives_the_value_without_a_warning(self):
+        from polymoment._optim import quad
+
+        want = public_quad(edge_integrand, 0.0, math.inf, (5.999999,))
+        assert "Roundoff" in want[-1]  # QUADPACK flagged this one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = quad(edge_integrand, 0.0, math.inf, (5.999999,))
+        assert got.hex() == want[0].hex()
+
+    def test_integrand_exception_keeps_its_type(self):
+        from polymoment._optim import quad
+        from polymoment.polymodel import InfiniteMomentQuadError
+
+        def overflow(t):
+            if t > 3.0:
+                raise InfiniteMomentQuadError("moment integrand overflows")
+            return t
+
+        for b in (10.0, math.inf):
+            with pytest.raises(InfiniteMomentQuadError, match="overflows"):
+                quad(overflow, 0.0, b)
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: x * x - 2.0, 0.0, 2.0),
+        (math.cos, 0.0, 3.0),
+        (lambda x: math.expm1(x) - 1e-9, -1.0, 5.0),
+        (lpp_crossing, 1e-9, 60.0),
+    ], ids=["sqrt2", "cos", "tiny_root", "lpp_crossing"])
+    def test_brentq_matches_scipy(self, f, a, b):
+        from scipy import optimize
+
+        from polymoment._optim import brentq
+
+        got, want = brentq(f, a, b), optimize.brentq(f, a, b)
+        assert type(got) is float and got.hex() == want.hex()
+
+    def test_brentq_rejects_nan_and_an_unbracketed_root(self):
+        from polymoment._optim import brentq
+
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            brentq(lambda x: 1.0 + x * x, -1.0, 1.0)
+
+    def test_concurrent_first_loads_share_one_module(self, monkeypatch):
+        import threading
+        import time
+
+        from polymoment import _optim
+
+        def slow_lookup(name, lookup=_optim._extension_file):
+            time.sleep(0.01)  # widen the window between the check and the load
+            return lookup(name)
+
+        monkeypatch.setattr(_optim, "_extension_file", slow_lookup)
+        for name in (QUADPACK, BRENTQ):
+            monkeypatch.delitem(sys.modules, name)
+        start = threading.Barrier(8)
+        loaded = [None] * 8
+
+        def first_load(i):
+            start.wait(timeout=60)
+            loaded[i] = (_optim._extension(QUADPACK), _optim._extension(BRENTQ))
+
+        threads = [threading.Thread(target=first_load, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        want = (sys.modules[QUADPACK], sys.modules[BRENTQ])
+        assert all(pair[0] is want[0] and pair[1] is want[1] for pair in loaded)
+
+    def test_without_an_extension_file_the_modules_are_imported(self, monkeypatch):
+        import importlib
+
+        from scipy import optimize
+
+        from polymoment import _optim
+
+        imported = []
+        import_module = importlib.import_module
+        monkeypatch.setattr(_optim, "_extension_file", lambda name: None)
+        monkeypatch.setattr(importlib, "import_module",
+                            lambda name: imported.append(name) or import_module(name))
+        for name in (QUADPACK, BRENTQ):
+            package, _, child = name.rpartition(".")
+            # the import below rebinds the package attribute: restore it after
+            monkeypatch.setattr(sys.modules[package], child, sys.modules[name])
+            monkeypatch.delitem(sys.modules, name)
+        f, a, b, args = self.CASES[2]
+        assert _optim.quad(f, a, b, args).hex() == public_quad(f, a, b, args)[0].hex()
+        assert _optim.brentq(lpp_crossing, 1e-9, 60.0).hex() == (
+            optimize.brentq(lpp_crossing, 1e-9, 60.0).hex())
+        assert imported == [QUADPACK, BRENTQ]
+
+
 class TestEnvelopeCache:
     def test_quadrature_roundoff_is_not_a_warning(self):
         # QUADPACK reports roundoff on 4 of this envelope's quadratures; it is
