@@ -1005,6 +1005,38 @@ class TestSurvivalQuadGrid:
         assert dist.variance() == ref_survival_quad(dist, 2.0, signed=True) - mu * mu
         assert cell_abs_moment(LPP_LOG, [2.0], symmetrized=False)[0] == pytest.approx(1.0, rel=1e-9)
 
+    def test_signed_moments_over_a_grid(self):
+        # each exponent decides its own sign: odd orders negate below loc, even ones do not
+        from polymoment.polymodel import _survival_quad
+
+        dist = ParetoPower(6.0)
+        loc = dist.mean()
+        got = _survival_quad(dist, [1.0, 2.0, 3.0], loc=loc, signed=True).tolist()
+        assert got == [ref_survival_quad(dist, p, loc=loc, signed=True) for p in (1.0, 2.0, 3.0)]
+
+    def test_overflowing_integrand_names_its_order(self):
+        import re
+
+        from polymoment.polymodel import InfiniteMomentQuadError
+
+        # the quantile u^(-1/2) has moments only below 2, but claims them up to 10
+        dist = CustomQuantile(quantile=lambda u: u ** -0.5, boundary=10.0)
+        with pytest.raises(InfiniteMomentQuadError, match="the moment diverges") as err:
+            natural_envelope(dist, "common_independent", points=9)
+        p = float(re.search(r"at order p=(\S+);", str(err.value)).group(1))
+        assert p == pytest.approx(5.4955, rel=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="u = e^(-t) underflows near t = 745 and the integrand is cut to 0 there, "
+        "which truncates moments near the boundary",
+    )
+    def test_moments_near_the_boundary(self):
+        from polymoment.polymodel import _survival_quad
+
+        got = _survival_quad(ParetoPower(6.0), [5.99, 5.995]).tolist()
+        assert got == pytest.approx([6.0 / 0.01, 6.0 / 0.005], rel=1e-6)
+
     @pytest.mark.parametrize("dist", STRATIFIED_DISTS)
     def test_stratified_top_region(self, dist):
         from polymoment import stratified_moment
