@@ -284,27 +284,39 @@ class Tabulated(MomentEnvelope):
     support: SupportInterval = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        ps = np.asarray(self.p_grid, dtype=float)
+        ps = self._set_grid()
         vals = np.asarray(self.values, dtype=float)
-        if ps.ndim != 1 or ps.size < 2:
-            raise ValueError("tabulated envelope needs at least two grid points")
         if vals.shape != ps.shape:
             raise ValueError("grid and values must have identical shape")
-        if not np.all(np.diff(ps) > 0):
-            raise ValueError("grid must be strictly increasing")
-        if np.any(~np.isfinite(vals)) or np.any(vals <= 0):
-            raise ValueError("tabulated values must be finite and positive")
-        if ps[0] < 1.0:
-            raise ValueError("grid must start at an exponent >= 1")
-        object.__setattr__(self, "p_grid", ps)
+        self._check_values(vals)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_log_values", np.log(vals))
+
+    def _set_grid(self) -> np.ndarray:
+        ps = np.asarray(self.p_grid, dtype=float)
+        if ps.ndim != 1 or ps.size < 2:
+            raise ValueError("tabulated envelope needs at least two grid points")
+        if not np.all(np.diff(ps) > 0):
+            raise ValueError("grid must be strictly increasing")
+        if ps[0] < 1.0:
+            raise ValueError("grid must start at an exponent >= 1")
         if self.upper is not None and self.upper < ps[-1]:
             raise ValueError("declared upper endpoint lies inside the grid")
+        object.__setattr__(self, "p_grid", ps)
         # every evaluation consults the support, so it is built once
         hi = self.upper if self.upper is not None else float(ps[-1])
         closed = self.upper_closed if self.upper is None else False
         object.__setattr__(self, "support", SupportInterval(float(ps[0]), hi, upper_closed=closed))
+        return ps
+
+    @staticmethod
+    def _check_values(vals: np.ndarray) -> None:
+        if np.any(~np.isfinite(vals)) or np.any(vals <= 0):
+            raise ValueError("tabulated values must be finite and positive")
+
+    def _logs(self, ps) -> np.ndarray:
+        """The log table, holding every entry that interpolating at ``ps`` reads."""
+        return self._log_values
 
     def evaluable_upper(self) -> Tuple[float, bool]:
         # the grid end is attained unless the support is open there
@@ -315,7 +327,7 @@ class Tabulated(MomentEnvelope):
         ps = self.p_grid
         if p < ps[0] or p > ps[-1]:
             return math.inf
-        return float(math.exp(np.interp(p, ps, self._log_values)))
+        return float(math.exp(np.interp(p, ps, self._logs(p))))
 
     def values_at(self, ps) -> np.ndarray:
         # one array interpolation; math.exp per element, since np.exp may
@@ -326,7 +338,8 @@ class Tabulated(MomentEnvelope):
         g = self.p_grid
         inside = (ps >= g[0]) & ((ps < g[-1]) | (ps == g[-1]) & self.support.contains(g[-1]))
         out = np.full(ps.shape, math.inf)
-        logs = np.interp(ps[inside], g, self._log_values)
+        q = ps[inside]
+        logs = np.interp(q, g, self._logs(q))
         out[inside] = np.fromiter(map(math.exp, logs), float, count=logs.size)
         return out
 
@@ -351,6 +364,11 @@ class Scaled(MomentEnvelope):
 
     def _value(self, p: float) -> float:
         return self.factor * self.inner(p)
+
+    def values_at(self, ps) -> np.ndarray:
+        # the inner array path raises the scalar domain errors, and IEEE
+        # multiplication by the factor keeps the scalar bits
+        return self.factor * self.inner.values_at(ps)
 
 
 @dataclass(frozen=True)

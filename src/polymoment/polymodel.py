@@ -603,6 +603,7 @@ def _is_symmetrized(tag: str) -> bool:
     return tag in _SYMMETRIZED_TAGS
 
 
+@functools.lru_cache(maxsize=64)  # each envelope fill and Sampler asks; it may cost quadratures
 def cell_loc_scale(dist: InputDistribution, symmetrized: bool) -> Tuple[float, float]:
     """Affine transform (loc, scale) applied to raw draws for this cell."""
     if symmetrized:
@@ -648,13 +649,64 @@ def cell_abs_moment(dist: InputDistribution, ps: Sequence[float], symmetrized: b
     return np.array([m / scale ** p for m, p in zip(moments, ps)])
 
 
+class _NaturalTable(Tabulated):
+    """A tabulated envelope whose entries are computed on first use.
+
+    ``entries(ps)`` returns the values at the grid exponents ``ps``, each with
+    the same bits whichever exponents share the call.  The first evaluation
+    computes the grid prefix its interpolation reads; a later one that reads
+    beyond it, or ``values``, computes the rest.  So ``entries`` runs at most
+    twice.  Fills hold a lock, and one that raises fills nothing.
+    """
+
+    def __init__(self, grid: Tuple[float, ...], entries: Callable, upper: Optional[float]):
+        # the instance is frozen: its state goes into __dict__ directly
+        nan = np.full(len(grid), math.nan)
+        self.__dict__.update(p_grid=np.array(grid), upper=upper, upper_closed=True, _entries=entries,
+                             _table=nan, _log_values=nan, _filled=0, _lock=threading.Lock())
+        self._set_grid()
+
+    @property
+    def values(self) -> np.ndarray:
+        self._logs(self.p_grid[-1])
+        return self._table
+
+    def __repr__(self) -> str:  # the dataclass repr would read values, computing every entry
+        return f"{type(self).__name__}(p_grid={self.p_grid!r}, upper={self.upper!r})"
+
+    def _logs(self, ps) -> np.ndarray:
+        n = self.p_grid.size
+        if self._filled < n and np.size(ps):
+            # np.interp reads the entries on both sides of each exponent
+            need = min(int(np.searchsorted(self.p_grid, np.max(ps), "right")), n - 1)
+            if need >= self._filled:
+                self._fill(need)
+        return self._log_values
+
+    def _fill(self, need: int) -> None:
+        with self._lock:
+            lo = self._filled
+            if need < lo:
+                return
+            hi = need + 1 if lo == 0 else self.p_grid.size
+            new = np.array(self._entries(self.p_grid[lo:hi].tolist()), dtype=float)
+            self._check_values(new)
+            table = self._table.copy()
+            table[lo:hi] = new
+            # logs of the whole table, as one np.log over a complete table takes them
+            self.__dict__.update(_table=table, _log_values=np.log(table), _filled=hi)
+
+
 @functools.lru_cache(maxsize=64)
 def _tabulate_natural(dist: InputDistribution, symmetrized: bool, grid: Tuple[float, ...]) -> Tabulated:
     r = dist.moment_boundary
     factor = MODULATOR_HIGH if symmetrized else 1.0
-    moments = cell_abs_moment(dist, grid, symmetrized).tolist()
-    vals = np.array([factor * m ** (1.0 / p) for m, p in zip(moments, grid)])
-    return Tabulated(np.array(grid), vals, upper=r if math.isfinite(r) else None)
+
+    def entries(ps: List[float]) -> List[float]:
+        moments = cell_abs_moment(dist, ps, symmetrized).tolist()
+        return [factor * m ** (1.0 / p) for m, p in zip(moments, ps)]
+
+    return _NaturalTable(grid, entries, r if math.isfinite(r) else None)
 
 
 def natural_envelope(
@@ -669,6 +721,12 @@ def natural_envelope(
     modulated (martingale-type) regimes the bounded modulator inflates the
     p-th norms by at most ``MODULATOR_HIGH``, which is folded in so the
     envelope dominates the cells actually produced by the sampler.
+
+    Entries are computed on first use, with the bits of the whole table: the
+    grid prefix the first evaluation reads, then the rest.  Product chains read
+    each input only up to their combined exponent and skip the costly entries
+    near its moment boundary.  ``InfiniteMomentQuadError`` surfaces at each
+    evaluation that needs the diverging exponent, not at construction.
     """
     symmetrized = _is_symmetrized(regime_tag)
     r = dist.moment_boundary

@@ -20,6 +20,7 @@ from polymoment import (
     Rademacher,
     Scaled,
     SlowlyVarying,
+    Tabulated,
     Weibull,
     doob_experiment,
     empirical_moments,
@@ -976,26 +977,40 @@ def ref_power_mean(model, slot):
 
 class TestSurvivalQuadGrid:
     @pytest.mark.parametrize(
-        "dist, tag, points",
+        "dist, tag, points, probed",
         [
-            (ParetoPower(6.0, centered=True, standardized=True), "common_independent", 257),
-            (ParetoPower(8.0, centered=True), "inside_independent", 65),
-            (LPP_LOG, "common_independent", 17),
-            (LogPerturbedPareto(6.0, 0.5, standardized=True), "martingale", 17),
-            (Rademacher(), "common_independent", 33),
-            (DoubleExpDiscrete(r=4.0, centered=True), "common_independent", 33),
+            (ParetoPower(6.0, centered=True, standardized=True), "common_independent", 257, False),
+            (ParetoPower(8.0, centered=True), "inside_independent", 65, False),
+            (LPP_LOG, "common_independent", 17, False),
+            (LogPerturbedPareto(6.0, 0.5, standardized=True), "martingale", 17, False),
+            (Rademacher(), "common_independent", 33, False),
+            (DoubleExpDiscrete(r=4.0, centered=True), "common_independent", 33, False),
             (LogPerturbedPareto(6.0, 0.5, SlowlyVarying.log_power(1.0), standardized=True),
-             "common_independent", 17),
-            (DoubleExpDiscrete(r=4.0, standardized=True), "martingale", 33),
-            (atoms_input(centered=True, standardized=True), "common_independent", 33),
+             "common_independent", 17, False),
+            (DoubleExpDiscrete(r=4.0, standardized=True), "martingale", 33, False),
+            (atoms_input(centered=True, standardized=True), "common_independent", 33, False),
+            (ParetoPower(8.0, centered=True, standardized=True), "common_independent", 65, True),
         ],
         ids=["pareto6_centered", "pareto8_centered", "lpp_centered", "lpp_symmetrised",
              "rademacher", "double_exp_centered", "lpp_uncentered", "double_exp_symmetrised",
-             "atoms_centered"],
+             "atoms_centered", "pareto8_evaluated_first"],
     )
-    def test_natural_envelope_matches_per_exponent_loop(self, dist, tag, points):
-        got = natural_envelope(dist, tag, points=points).values
-        assert np.array_equal(got, ref_natural_values(dist, tag, points))
+    def test_natural_envelope_matches_per_exponent_loop(self, dist, tag, points, probed):
+        from polymoment.polymodel import _is_symmetrized, _tabulate_natural
+
+        want = ref_natural_values(dist, tag, points)
+        grid = natural_envelope(dist, tag, points=points).p_grid
+        # a fresh table, filled by whatever reads it first
+        env = _tabulate_natural.__wrapped__(dist, _is_symmetrized(tag), tuple(grid.tolist()))
+        if probed:
+            # random scalar calls in the lower half, then values_at across the grid
+            ref = Tabulated(grid, want, upper=dist.moment_boundary)
+            rng = np.random.default_rng(5)
+            for p in rng.uniform(grid[0], grid[grid.size // 2], 12):
+                assert env(p) == ref(p)
+            qs = np.concatenate([rng.uniform(grid[0], grid[-1], 40), grid[-1:], [7.0, 9.0]])
+            assert env.values_at(qs).tobytes() == ref.values_at(qs).tobytes()
+        assert env.values.tobytes() == want.tobytes()
 
     def test_signed_moments_and_variance(self):
         dist = LogPerturbedPareto(6.0, 0.5, SlowlyVarying.log_power(1.0))
@@ -1022,7 +1037,7 @@ class TestSurvivalQuadGrid:
         # the quantile u^(-1/2) has moments only below 2, but claims them up to 10
         dist = CustomQuantile(quantile=lambda u: u ** -0.5, boundary=10.0)
         with pytest.raises(InfiniteMomentQuadError, match="the moment diverges") as err:
-            natural_envelope(dist, "common_independent", points=9)
+            natural_envelope(dist, "common_independent", points=9).values
         p = float(re.search(r"at order p=(\S+);", str(err.value)).group(1))
         assert p == pytest.approx(5.4955, rel=1e-12)
 
@@ -1052,7 +1067,7 @@ class TestSurvivalQuadGrid:
             return u ** (-1.0 / 6.0)
 
         dist = CustomQuantile(quantile=quantile, boundary=6.0, centered=True)
-        natural_envelope(dist, "common_independent")
+        natural_envelope(dist, "common_independent").values
         # the per-exponent loop evaluates the quantile over 500,000 times
         assert 0 < calls[0] < 50000
 
@@ -1063,7 +1078,7 @@ class TestSurvivalQuadGrid:
             calls[0] += 1
             return u ** (-1.0 / 6.0)
 
-        natural_envelope(CustomQuantile(quantile=quantile, boundary=6.0), "martingale")
+        natural_envelope(CustomQuantile(quantile=quantile, boundary=6.0), "martingale").values
         # one quadrature per exponent evaluates the quantile over 500,000 times
         assert 0 < calls[0] < 50000
 
@@ -1241,8 +1256,8 @@ class TestEnvelopeCache:
         dist = CustomQuantile(quantile=lambda u: u ** (-1.0 / 6.0), boundary=6.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            env = natural_envelope(dist, "common_independent", points=17)
-        assert np.all(np.isfinite(env.values))
+            values = natural_envelope(dist, "common_independent", points=17).values
+        assert np.all(np.isfinite(values))
 
     def test_concurrent_first_calls_agree(self):
         import threading
@@ -1252,10 +1267,14 @@ class TestEnvelopeCache:
         dist = CustomQuantile(quantile=lambda u: u ** (-1.0 / 6.0), boundary=6.0)
         start = threading.Barrier(8)
         envs = [None] * 8
+        # each thread reads a different stretch of the table first
+        ps = np.linspace(1.3, 5.9, 8)[[5, 0, 7, 2, 6, 1, 4, 3]]
+        got = [None] * 8
 
         def first_call(i):
             start.wait(timeout=60)
             envs[i] = natural_envelope(dist, "common_independent", points=17)
+            got[i] = envs[i](ps[i])
 
         threads = [threading.Thread(target=first_call, args=(i,)) for i in range(8)]
         interval = sys.getswitchinterval()
@@ -1270,10 +1289,97 @@ class TestEnvelopeCache:
         assert not any(t.is_alive() for t in threads)
         grid = tuple(envs[0].p_grid.tolist())
         want = _tabulate_natural.__wrapped__(dist, False, grid).values
+        ref = Tabulated(np.array(grid), want, upper=6.0)
+        assert got == [ref(p) for p in ps]
         for env in envs:
             assert np.array_equal(env.values, want)
+
+    def test_failed_fill_fills_nothing(self):
+        from polymoment.polymodel import InfiniteMomentQuadError
+
+        # the quantile u^(-1/2) has moments only below 2, but claims them up to 10
+        dist = CustomQuantile(quantile=lambda u: u ** -0.5, boundary=10.0)
+        env = natural_envelope(dist, "common_independent", points=9)
+        assert "p_grid" in repr(env)  # computes no entry
+        top = float(env.p_grid[-1])
+        for _ in range(2):
+            with pytest.raises(InfiniteMomentQuadError, match="the moment diverges"):
+                env(top)
+        # a low exponent still fills its own prefix, and the rest still fails
+        assert math.isfinite(env(1.5))
+        with pytest.raises(InfiniteMomentQuadError, match="the moment diverges"):
+            env.values
 
     def test_repeated_call_returns_the_same_envelope(self):
         env = natural_envelope(ParetoPower(7.0, centered=True), "martingale", points=17)
         assert natural_envelope(ParetoPower(7.0, centered=True), "martingale", points=17) is env
         assert natural_envelope(ParetoPower(7.0, centered=True), "martingale", p_grid=env.p_grid) is env
+
+
+def record_survival_quad(monkeypatch):
+    """Record (dist, number of exponents) for every survival quadrature from here on."""
+    from polymoment import polymodel
+
+    calls = []
+    quad = polymodel._survival_quad
+
+    def recorded(dist, ps, *args, **kwargs):
+        calls.append((dist, len(ps)))
+        return quad(dist, ps, *args, **kwargs)
+
+    monkeypatch.setattr(polymodel, "_survival_quad", recorded)
+    return calls
+
+
+class TestNaturalTableFills:
+    """Natural-envelope entries are computed on first use: a prefix, then the rest."""
+
+    def common_plan(self, monkeypatch):
+        from polymoment.cli import load_config
+        from polymoment.mcverify import plan_from_config
+        from polymoment.polymodel import _tabulate_natural
+
+        _tabulate_natural.cache_clear()
+        calls = record_survival_quad(monkeypatch)
+        cfg = load_config(None, "pareto_d2_common")
+        model = model_from_config(cfg["model"])
+        return plan_from_config(dict(cfg["plan"], replications=2000), model), calls
+
+    def test_product_chain_reads_a_prefix(self, monkeypatch):
+        # the chain reads each input up to about the combined exponent 3.43
+        _, calls = self.common_plan(monkeypatch)
+        for r1, most in ((6.0, 128), (8.0, 105)):
+            sizes = [n for dist, n in calls if dist.r1 == r1]
+            assert 1 <= len(sizes) <= 2 and sum(sizes) <= most
+        assert {dist.r1 for dist, _ in calls} == {6.0, 8.0}
+
+    def test_run_experiment_runs_no_quadrature(self, monkeypatch):
+        plan, calls = self.common_plan(monkeypatch)
+        calls.clear()
+        run_experiment(plan)
+        assert calls == []
+
+    def test_scaled_natural_envelope_keeps_the_array_path(self, monkeypatch):
+        from polymoment import EnvelopeDomainError
+        from polymoment.polymodel import _tabulate_natural
+
+        dist = ParetoPower(6.0, centered=True)
+        grid = natural_envelope(dist, "common_independent", points=65).p_grid
+        calls = record_survival_quad(monkeypatch)
+        inner = _tabulate_natural.__wrapped__(dist, False, tuple(grid.tolist()))
+        env = Scaled(inner, 3.0)
+        low = np.array([1.0, 1.5, 2.25, 3.0])
+        got = env.values_at(low)
+        # one quadrature on a prefix of the table, as the inner array path reads it
+        assert len(calls) == 1 and calls[0][1] < grid.size
+        assert got.tobytes() == np.array([3.0 * inner(p) for p in low]).tobytes()
+        # beyond the grid end, at the declared upper and beyond it: +inf, as the scalar path
+        qs = np.concatenate([low, grid[-1:], [5.999, 6.0, 7.5]])
+        assert env.values_at(qs).tobytes() == np.array([env(p) for p in qs]).tobytes()
+        assert np.isinf(env.values_at(qs[-3:])).all()
+        for bad in ([2.0, 0.5], [2.0, math.nan], [math.inf]):
+            with pytest.raises(EnvelopeDomainError) as array_err:
+                env.values_at(bad)
+            with pytest.raises(EnvelopeDomainError) as scalar_err:
+                [env(p) for p in bad]
+            assert str(array_err.value) == str(scalar_err.value)
