@@ -126,6 +126,9 @@ def chebyshev_grid(lo: float, hi: float, n: int):
 
 
 _LOAD_LOCK = threading.Lock()
+# loaded here and kept out of sys.modules, so that scipy's own import of the
+# package loads the submodule again and binds it as the package's attribute
+_EXTENSIONS: dict = {}
 
 
 def _extension_file(name: str) -> Optional[str]:
@@ -137,16 +140,19 @@ def _extension_file(name: str) -> Optional[str]:
 
 
 def _extension(name: str):
-    """scipy's compiled module ``name``, loaded from its file without its packages'
-    ``__init__`` (``import scipy.integrate`` takes about 0.7 s) and registered in
-    ``sys.modules``, where a later import finds it; without a file, a plain import."""
+    """scipy's compiled module ``name``: the one scipy has loaded, else one loaded
+    from its file without its packages' ``__init__`` (``import scipy.integrate``
+    takes about 0.7 s) and kept in ``_EXTENSIONS``; without a file, a plain import."""
     with _LOAD_LOCK:
-        if name not in sys.modules and (path := _extension_file(name)):
+        module = sys.modules.get(name) or _EXTENSIONS.get(name)
+        if module is None and (path := _extension_file(name)):
             loader = importlib.machinery.ExtensionFileLoader(name, path)
             module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
             loader.exec_module(module)
-            sys.modules[name] = module
-    return sys.modules.get(name) or importlib.import_module(name)
+            if sys.modules.get(name) is module:  # single-phase init registers itself
+                del sys.modules[name]
+            _EXTENSIONS[name] = module
+    return module or importlib.import_module(name)
 
 
 def quad(f: Callable[..., float], a: float, b: float, args: tuple = ()) -> float:

@@ -618,7 +618,9 @@ def cell_loc_scale(dist: InputDistribution, symmetrized: bool) -> Tuple[float, f
         return loc, scale
     loc = dist.mean() if dist.centered else 0.0
     if dist.standardized:
-        var = dist.variance()
+        # InputDistribution.variance, with the one mean of a centered input
+        mu = loc if dist.centered else dist.mean()
+        var = dist.signed_moment(2) - mu * mu
         if not (var > 0) or math.isinf(var):
             raise ValueError(f"cannot standardise {dist}: variance is zero or infinite")
         scale = math.sqrt(var)
@@ -894,9 +896,9 @@ def power_mean(model: PolynomialModel, slot: int) -> float:
     return _moments(dist, [k], loc, signed=True)[0] / scale ** k
 
 
-# term products per block of a general tensor's Q: 32K doubles (256 KB) stay
-# in one core's L2 cache
-BLOCK_ELEMENTS = 1 << 15
+# term products per block of a general tensor's Q: its two per-thread 64K
+# double buffers (1 MB) stay in one core's L2 cache
+BLOCK_ELEMENTS = 1 << 16
 
 
 class Sampler:
@@ -942,34 +944,35 @@ class Sampler:
             tensor = tensor.restrict(self.i_lo, i_hi)
         self.coef = next(iter(tensor.entries.values())) if tensor.is_uniform else None
         if self.coef is None:
-            # general tensors: the lexicographic terms as (slots, K) row
-            # indices and a (K, 1) coefficient column, and the same per
-            # last-index group (in increasing order) for the running maximum
+            # general tensors: the lexicographic terms as (slots, K) rows
+            # ``i * slots + m`` of the factors seen as (rows * slots, size)
+            # and a (K, 1) coefficient column, and the same per last-index
+            # group (in increasing order) for the running maximum
             items = tensor.items_sorted()
             rows = np.array([I for I, _ in items], dtype=np.intp).reshape(len(items), tensor.d)
             rows = np.ascontiguousarray(rows.T - self.i_lo)
+            flat = rows * slots + np.arange(slots).reshape(-1, 1)
             coefs = np.array([b for _, b in items]).reshape(-1, 1)
-            self.terms = [(rows, coefs)]
+            self.terms = [(flat, coefs)]
             # not np.unique: its first call imports numpy.ma (15-30 ms)
             last = rows[-1]
             self.terms_by_last = [
-                (rows[:, last == k], coefs[last == k]) for k in sorted(set(last.tolist()))
+                (flat[:, last == k], coefs[last == k]) for k in sorted(set(last.tolist()))
             ]
         self._local = threading.local()
 
-    def _buffers(self, size: int) -> Tuple[np.ndarray, np.ndarray]:
-        """This thread's draw and key buffers, kept across its batches."""
+    def _buffers(self, use: str, *shapes: Tuple[int, ...]) -> List[np.ndarray]:
+        """This thread's buffers of ``shapes`` for ``use``, kept until the shapes change."""
         local = self._local
-        if getattr(local, "size", None) != size:
-            local.size = size
-            local.draw = np.empty((size, self.nkeys))
-            local.keys = np.empty((self.nkeys, size))
-        return local.draw, local.keys
+        if getattr(local, use, (None,))[0] != shapes:
+            setattr(local, use, (None,))  # free the old buffers before making new ones
+            setattr(local, use, (shapes, [np.empty(shape) for shape in shapes]))
+        return getattr(local, use)[1]
 
     def cells(self, seed: int, batch_index: int, size: int) -> np.ndarray:
         """One batch of transformed cells, time-major, before power centering."""
         gen = _stream(seed, batch_index)
-        draw, keys = self._buffers(size)
+        draw, keys = self._buffers("draw", (size, self.nkeys), (self.nkeys, size))
         gen.random(out=draw)
         np.subtract(1.0, draw.T, out=keys)  # survival uniforms in (0, 1]
         keys = keys.reshape(self.key_shape + (size,))
@@ -1035,17 +1038,22 @@ class Sampler:
                 if running_max:
                     np.maximum(best, np.abs(self.coef * P[slots]), out=best)
             return best if running_max else self.coef * P[slots]
-        # blocks of at most BLOCK_ELEMENTS term products, each summed in
-        # order onto q: bit for bit the term-by-term loop q += ((b*f0)*f1)...
-        # (size 1 takes one term a block: a (K, 1) reduce would sum pairwise)
-        block = max(1, BLOCK_ELEMENTS // size) if size > 1 else 1
+        # blocks of at most BLOCK_ELEMENTS term products, built in this
+        # thread's buffers and each summed in order onto q: bit for bit the
+        # term-by-term loop q += ((b*f0)*f1)...  (size 1 takes one term a
+        # block: a (K, 1) reduce would sum pairwise)
+        block = max(1, min(BLOCK_ELEMENTS // size, len(self.terms[0][1]))) if size > 1 else 1
+        prod, gather = self._buffers("block", (2, block, size))[0]
+        source = factors.reshape(-1, size)
         q = np.zeros(size)
         for rows, coefs in self.terms_by_last if running_max else self.terms:
             for lo in range(0, len(coefs), block):
-                blk = rows[:, lo:lo + block]
-                t = coefs[lo:lo + block] * factors[blk[0], 0]
+                blk, b = rows[:, lo:lo + block], coefs[lo:lo + block]
+                t, g = prod[:len(b)], gather[:len(b)]
+                # mode "clip" gathers straight into out; "raise" buffers it
+                np.multiply(np.take(source, blk[0], axis=0, out=t, mode="clip"), b, out=t)
                 for m in range(1, len(blk)):
-                    t *= factors[blk[m], m]
+                    t *= np.take(source, blk[m], axis=0, out=g, mode="clip")
                 t[0] += q
                 q = np.add.reduce(t, axis=0)
             if running_max:

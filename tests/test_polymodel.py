@@ -783,6 +783,76 @@ class TestBlockPath:
         monkeypatch.setattr(Sampler, "q", per_term_q)
         assert experiment(plan).result_payload() == got
 
+    def batches(self, model, sizes, seed=21):
+        """``(factors, want)`` for batch b of ``sizes[b]``: the sampler's and ref_factors'."""
+        sampler = Sampler(model)
+        return sampler, [
+            (sampler.factors(sampler.cells(seed, b, size)),
+             ref_factors(model, ref_cells(model, seed, b, size)))
+            for b, size in enumerate(sizes)
+        ]
+
+    def test_batch_sizes_in_turn_on_one_thread(self):
+        # each change of size reshapes this thread's block buffers
+        model = self.model_220()
+        sampler, batches = self.batches(model, [1024, 7, 1, 1024])
+        for factors, want in batches:
+            for running_max in (False, True):
+                got = sampler.q(factors, running_max)
+                assert_identical(got, ref_q(want, model.coefficients, 1, running_max))
+
+    def test_a_returned_q_is_not_overwritten(self):
+        model = self.model_220()
+        sampler, batches = self.batches(model, [1024, 1024])
+        for running_max in (False, True):
+            first = sampler.q(batches[0][0], running_max)
+            kept = first.copy()
+            sampler.q(batches[1][0], running_max)
+            assert_identical(first, kept)
+
+    def test_threads_share_one_sampler_with_mixed_sizes(self):
+        import threading
+
+        model = self.model_220()
+        sizes = [1024, 7, 1, 300, 1024, 2, 513, 1] * 2
+        sampler, batches = self.batches(model, sizes)
+        start = threading.Barrier(8)
+        got = [None] * 8
+
+        def work(i):
+            start.wait(timeout=60)
+            # each thread walks the batches from its own offset, so sizes mix
+            order = [(i + j) % len(batches) for j in range(len(batches))]
+            got[i] = {b: sampler.q(batches[b][0], (i + b) % 2 == 1) for b in order}
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        for i, results in enumerate(got):
+            for b, (_, want) in enumerate(batches):
+                assert_identical(results[b], ref_q(want, model.coefficients, 1, (i + b) % 2 == 1))
+
+    def test_a_later_call_allocates_no_block(self):
+        import tracemalloc
+
+        model = self.model_220()
+        sampler, [(factors, _)] = self.batches(model, [1024])
+        for running_max in (False, True):
+            sampler.q(factors, running_max)  # sizes this thread's buffers
+            tracemalloc.start()
+            try:
+                sampler.q(factors, running_max)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # a quarter of one block of term products (8 * BLOCK_ELEMENTS
+            # bytes); numpy's 64 KB ufunc buffer for the coefficients' broadcast
+            # and the per-block sums stay below it
+            assert peak < 2 * BLOCK_ELEMENTS
+
     @pytest.mark.parametrize("experiment", [run_experiment, doob_experiment])
     def test_thread_counts_agree(self, experiment):
         model = self.model_220()
@@ -1201,6 +1271,7 @@ class TestScipyExtensions:
             return lookup(name)
 
         monkeypatch.setattr(_optim, "_extension_file", slow_lookup)
+        monkeypatch.setattr(_optim, "_EXTENSIONS", {})
         for name in (QUADPACK, BRENTQ):
             monkeypatch.delitem(sys.modules, name)
         start = threading.Barrier(8)
@@ -1221,7 +1292,8 @@ class TestScipyExtensions:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        want = (sys.modules[QUADPACK], sys.modules[BRENTQ])
+        assert QUADPACK not in sys.modules and BRENTQ not in sys.modules
+        want = (_optim._EXTENSIONS[QUADPACK], _optim._EXTENSIONS[BRENTQ])
         assert all(pair[0] is want[0] and pair[1] is want[1] for pair in loaded)
 
     def test_without_an_extension_file_the_modules_are_imported(self, monkeypatch):
@@ -1234,6 +1306,7 @@ class TestScipyExtensions:
         imported = []
         import_module = importlib.import_module
         monkeypatch.setattr(_optim, "_extension_file", lambda name: None)
+        monkeypatch.setattr(_optim, "_EXTENSIONS", {})
         monkeypatch.setattr(importlib, "import_module",
                             lambda name: imported.append(name) or import_module(name))
         for name in (QUADPACK, BRENTQ):
@@ -1246,6 +1319,51 @@ class TestScipyExtensions:
         assert _optim.brentq(lpp_crossing, 1e-9, 60.0).hex() == (
             optimize.brentq(lpp_crossing, 1e-9, 60.0).hex())
         assert imported == [QUADPACK, BRENTQ]
+
+    def test_a_later_scipy_import_binds_the_submodules(self):
+        # a fresh interpreter, so that the helpers load both extensions before
+        # scipy.integrate and scipy.optimize exist
+        import os
+        import subprocess
+
+        import polymoment
+
+        src = os.path.dirname(os.path.dirname(polymoment.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", _LATER_SCIPY_IMPORT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+
+_LATER_SCIPY_IMPORT = """
+import math, sys
+
+from polymoment import _optim
+
+def f(t, p):
+    return math.exp(p * math.log1p(t) - t)
+
+def h(x):
+    return x * x - 2.0
+
+before = [_optim.quad(f, 0.0, 1.7, (2.5,)), _optim.quad(f, 50.0, math.inf, (2.5,)),
+          _optim.brentq(h, 0.0, 2.0)]
+assert "scipy.integrate" not in sys.modules and "scipy.optimize" not in sys.modules
+import scipy.integrate
+import scipy.optimize
+
+quadpack, zeros = scipy.integrate._quadpack, scipy.optimize._zeros
+assert quadpack is sys.modules["scipy.integrate._quadpack"]
+assert zeros is sys.modules["scipy.optimize._zeros"]
+assert _optim._extension("scipy.integrate._quadpack") is quadpack
+assert _optim._extension("scipy.optimize._zeros") is zeros
+public = [scipy.integrate.quad(f, a, b, args=(2.5,), epsabs=0.0, epsrel=1e-11, limit=400)[0]
+          for a, b in ((0.0, 1.7), (50.0, math.inf))] + [scipy.optimize.brentq(h, 0.0, 2.0)]
+after = [_optim.quad(f, 0.0, 1.7, (2.5,)), _optim.quad(f, 50.0, math.inf, (2.5,)),
+         _optim.brentq(h, 0.0, 2.0)]
+assert [x.hex() for x in before] == [x.hex() for x in public] == [x.hex() for x in after]
+"""
 
 
 class TestEnvelopeCache:
@@ -1352,6 +1470,24 @@ class TestNaturalTableFills:
             sizes = [n for dist, n in calls if dist.r1 == r1]
             assert 1 <= len(sizes) <= 2 and sum(sizes) <= most
         assert {dist.r1 for dist, _ in calls} == {6.0, 8.0}
+
+    def test_centered_standardized_scale_takes_one_mean(self, monkeypatch):
+        from polymoment import polymodel
+
+        dist = LogPerturbedPareto(6.0, 0.5, SlowlyVarying.log_power(1.0), centered=True,
+                                  standardized=True)
+        signed = []
+        quad = polymodel._survival_quad
+
+        def recorded(dist, ps, loc=0.0, is_signed=False, u_max=1.0):
+            if is_signed:
+                signed.append(list(ps))
+            return quad(dist, ps, loc, is_signed, u_max)
+
+        monkeypatch.setattr(polymodel, "_survival_quad", recorded)
+        got = cell_loc_scale.__wrapped__(dist, False)
+        assert signed == [[1.0], [2.0]]
+        assert got == (dist.mean(), math.sqrt(dist.variance()))
 
     def test_run_experiment_runs_no_quadrature(self, monkeypatch):
         plan, calls = self.common_plan(monkeypatch)
