@@ -86,21 +86,16 @@ def golden_min_rows(f: Callable, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray
 
 
 def bracketed_min(
-    f: Callable[[float], float],
-    xs: Sequence[float],
-    ys: Optional[Sequence[float]] = None,
+    f: Callable[[float], float], xs: Sequence[float], ys: Sequence[float]
 ) -> Tuple[float, float]:
-    """Minimise ``f`` over the increasing scan points ``xs``, then polish.
+    """Minimise ``f`` from its values ``ys`` at the increasing scan points ``xs``, then polish.
 
-    ``ys`` are the values of ``f`` at ``xs`` when the caller already has them.
     The scan makes the search robust to +inf plateaus (infeasible regions) and
     mild multimodality.  The first minimum of the scan is refined by golden
     section between its scan neighbours, to a width of ``1e-12`` relative to
     the right end (at least 1), and kept when it is strictly better than the
     refinement.  Returns ``(x, f(x))`` for the best point seen.
     """
-    if ys is None:
-        ys = [f(x) for x in xs]
     k = int(np.argmin(ys))
     x, y = float(xs[k]), float(ys[k])
     if math.isinf(y):

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._optim import bracketed_min, chebyshev_grid, golden_min_rows
+from ._optim import chebyshev_grid, golden_min_rows
 from .envelope import (
     EnvelopeDomainError,
     MomentEnvelope,
@@ -152,51 +152,6 @@ _INSET = 1e-12  # relative inset from the open feasibility endpoints
 _SCAN = 64  # evenly spaced scan points over the split interval
 
 
-def _otimes_search(nu1: MomentEnvelope, nu2: MomentEnvelope, p: float) -> OtimesResult:
-    """Minimise nu1(p/a) * nu2(p/(1-a)) over the feasible split interval.
-
-    The search interval comes from the evaluable exponent ranges (tabulated
-    envelopes may declare a wider support than they can evaluate); splits
-    outside it are infinite anyway.
-    """
-    r1, closed1 = nu1.evaluable_upper()
-    r2, closed2 = nu2.evaluable_upper()
-    a_lo = p / r1 if math.isfinite(r1) else 0.0
-    a_hi = 1.0 - (p / r2 if math.isfinite(r2) else 0.0)
-    if a_hi <= a_lo:
-        return OtimesResult(math.inf, math.nan)
-    width = a_hi - a_lo
-    inset = max(_INSET * max(width, 1.0), 1e-300)
-    lo = a_lo + inset
-    hi = a_hi - inset
-
-    def objective(a: float) -> float:
-        if a <= 0.0 or a >= 1.0:
-            return math.inf
-        v1 = nu1(p / a)
-        if math.isinf(v1):
-            return math.inf
-        v2 = nu2(p / (1.0 - a))
-        return v1 * v2
-
-    if hi <= lo:
-        a_best = 0.5 * (a_lo + a_hi)
-        v_best = objective(a_best)
-    else:
-        step = (hi - lo) / (_SCAN - 1)
-        a_best, v_best = bracketed_min(objective, [lo + step * k for k in range(_SCAN - 1)] + [hi])
-    # closed evaluable endpoints are genuinely attainable; include them exactly
-    if math.isfinite(r1) and closed1 and 0.0 < a_lo < 1.0:
-        v = objective(a_lo)
-        if v < v_best:
-            a_best, v_best = a_lo, v
-    if math.isfinite(r2) and closed2 and 0.0 < a_hi < 1.0:
-        v = objective(a_hi)
-        if v < v_best:
-            a_best, v_best = a_hi, v
-    return OtimesResult(v_best, a_best)
-
-
 def otimes(
     nu1: MomentEnvelope,
     nu2: MomentEnvelope,
@@ -210,48 +165,43 @@ def otimes(
     minimiser is located by a 64-point scan over the feasible interval
     ``[p/r1, 1 - p/r2]`` followed by golden-section refinement; the
     objective can be non-convex for exotic slowly varying factors, so
-    bracket-then-refine is the robust choice.
+    bracket-then-refine is the robust choice.  This is a one-row call of the
+    stage-grid search :func:`_otimes_grid`, about 3-4 ms a call; chain stages
+    compose their whole exponent grids in one call of it.
 
     With ``full_output=True`` returns an :class:`OtimesResult` carrying the
     minimising share ``a`` of the exponent routed to ``nu1``.
     """
-    p = float(p)
-    if not math.isfinite(p) or p < 1.0:
-        raise EnvelopeDomainError(f"exponent must be finite and >= 1, got {p}")
-    r1 = nu1.support.upper
-    r2 = nu2.support.upper
-    load = (p / r1 if math.isfinite(r1) else 0.0) + (p / r2 if math.isfinite(r2) else 0.0)
-    if load >= 1.0:
-        res = OtimesResult(math.inf, math.nan)
-        return res if full_output else res.value
-
-    # canonical argument order (smaller singularity exponent first) makes the
-    # operation numerically symmetric: forward and mirrored chains then agree
-    # exactly for equal inputs
-    swapped = r2 < r1
-    first, second = (nu2, nu1) if swapped else (nu1, nu2)
-    res = _otimes_search(first, second, p)
-    if swapped and not math.isnan(res.split):
-        res = OtimesResult(res.value, 1.0 - res.split)
+    values, splits = _otimes_grid(nu1, nu2, [float(p)])
+    res = OtimesResult(float(values[0]), float(splits[0]))
     return res if full_output else res.value
 
 
-def _otimes_grid(nu1: MomentEnvelope, nu2: MomentEnvelope, ps) -> np.ndarray:
-    """``[otimes(nu1, nu2, p) for p in ps]`` as one array, bit for bit.
+def _otimes_grid(nu1: MomentEnvelope, nu2: MomentEnvelope, ps) -> Tuple[np.ndarray, np.ndarray]:
+    """Values and minimising splits of ``nu1 (x) nu2`` at every exponent in ``ps``.
 
-    Runs the search of :func:`otimes` for every exponent at once: the same
-    load check, canonical order, inset and 64-point scan, the first minimum
-    of each row polished by :func:`golden_min_rows` in lockstep, and the same
-    closed-endpoint checks.  Envelopes are evaluated through
-    :meth:`MomentEnvelope.values_at`.  Worth it for whole stage grids only: a
-    single exponent is faster through the scalar search.
+    The search for each exponent: rows with load ``p/r1 + p/r2 >= 1`` or an
+    empty evaluable split interval are infeasible (value ``inf``, split NaN);
+    the rest scan 64 points inset from the interval ends (only its midpoint
+    when it is too narrow to inset), polish the first minimum of each row by
+    :func:`golden_min_rows` in lockstep, and keep a closed evaluable endpoint
+    where it is strictly better.  The split is the scan point, the polished
+    point, the midpoint or the endpoint kept, as a share routed to ``nu1``.
+    The split interval comes from the evaluable exponent ranges (tabulated
+    envelopes may declare a wider support than they can evaluate); splits
+    outside it are infinite anyway.  Envelopes are evaluated through
+    :meth:`MomentEnvelope.values_at`.
     """
     ps = np.asarray(ps, dtype=float)
     bad = ps[~(np.isfinite(ps) & (ps >= 1.0))]
     if bad.size:
         raise EnvelopeDomainError(f"exponent must be finite and >= 1, got {bad[0]}")
     load = sum(ps / r for r in (nu1.support.upper, nu2.support.upper) if math.isfinite(r))
-    if nu2.support.upper < nu1.support.upper:
+    # canonical argument order (smaller singularity exponent first) makes the
+    # operation numerically symmetric: forward and mirrored chains then agree
+    # exactly for equal inputs
+    swapped = nu2.support.upper < nu1.support.upper
+    if swapped:
         nu1, nu2 = nu2, nu1
     (r1, closed1), (r2, closed2) = nu1.evaluable_upper(), nu2.evaluable_upper()
     a_lo = ps / r1 if math.isfinite(r1) else 0.0 * ps
@@ -270,33 +220,38 @@ def _otimes_grid(nu1: MomentEnvelope, nu2: MomentEnvelope, ps) -> np.ndarray:
 
     inset = np.maximum(_INSET * np.maximum(a_hi - a_lo, 1.0), 1e-300)
     lo, hi = a_lo + inset, a_hi - inset
-    best = np.empty(rows.size)
+    best, split = np.empty(rows.size), np.empty(rows.size)
     narrow = np.flatnonzero(~(lo < hi))
-    best[narrow] = objective(narrow, 0.5 * (a_lo[narrow] + a_hi[narrow]))
+    split[narrow] = 0.5 * (a_lo[narrow] + a_hi[narrow])
+    best[narrow] = objective(narrow, split[narrow])
     wide = np.flatnonzero(lo < hi)
     xs = lo[wide, None] + ((hi[wide] - lo[wide]) / (_SCAN - 1))[:, None] * np.arange(_SCAN)
     xs[:, -1] = hi[wide]
     ys = objective(np.repeat(wide, _SCAN), xs.ravel()).reshape(xs.shape)
     k = np.argmin(ys, axis=1)
     y = ys[np.arange(wide.size), k]
-    best[wide] = y
+    best[wide], split[wide] = y, xs[np.arange(wide.size), k]
     fin = np.flatnonzero(~np.isinf(y))
     k, top = k[fin], xs[fin, np.minimum(k[fin] + 1, _SCAN - 1)]
     polish = wide[fin]
-    _, y_ref = golden_min_rows(
+    x_ref, y_ref = golden_min_rows(
         lambda i, a: objective(polish[i], a),
         xs[fin, np.maximum(k - 1, 0)], top, 1e-12 * np.maximum(1.0, top),
     )
-    best[polish] = np.where(y[fin] < y_ref, y[fin], y_ref)
+    keep = y[fin] < y_ref
+    best[polish] = np.where(keep, y[fin], y_ref)
+    split[polish] = np.where(keep, split[polish], x_ref)
     # closed evaluable endpoints are genuinely attainable; include them exactly
     for r, closed, a_end in ((r1, closed1, a_lo), (r2, closed2, a_hi)):
         if math.isfinite(r) and closed:
             at = np.flatnonzero((0.0 < a_end) & (a_end < 1.0))
             v = objective(at, a_end[at])
-            best[at] = np.where(v < best[at], v, best[at])
-    out = np.full(ps.shape, math.inf)
-    out[rows] = best
-    return out
+            better = v < best[at]
+            best[at] = np.where(better, v, best[at])
+            split[at] = np.where(better, a_end[at], split[at])
+    values, splits = np.full(ps.shape, math.inf), np.full(ps.shape, math.nan)
+    values[rows], splits[rows] = best, split
+    return values, 1.0 - splits if swapped else splits
 
 
 # smallest end of a growth (infinite-exponent) stage grid
@@ -387,8 +342,8 @@ def _compose_stages(
     reports its finite grid end as ``support.upper``.  Each stage is
     tabulated on its own partial-exponent grid (the last one on
     ``final_grid`` when given) and becomes ``acc`` for the next factor.
-    One :func:`_otimes_grid` call composes a stage's whole grid, bit-identical
-    to :func:`otimes` at every point.  Returns the stages in fold order.
+    One :func:`_otimes_grid` call composes a stage's whole grid.  Returns the
+    stages in fold order.
     """
     p_max_hint = None if final_grid is None else float(final_grid[-1])
     stages = []
@@ -400,7 +355,7 @@ def _compose_stages(
             grid = final_grid
         else:
             grid = _stage_grid(eff_acc, r_acc, points, p_max_hint, final=last)
-        vals = _otimes_grid(acc, nxt, grid)
+        vals = _otimes_grid(acc, nxt, grid)[0]
         if K is not None:
             vals = np.array([K(p) for p in grid]) * vals
         acc = _stage_from_values(grid, vals, r_acc)

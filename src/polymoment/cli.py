@@ -38,7 +38,7 @@ import numpy as np
 from .calculus import (
     ChainFeasibilityError,
     DependenceRegime,
-    otimes,
+    _otimes_grid,
     zeta_chain,
 )
 from .envelope import (
@@ -236,10 +236,10 @@ def cmd_envelope(args) -> int:
         lines = ["p,value"] + [f"{_fmt(p)},{_fmt(v)}" for p, v in zip(ps, env.values_at(ps))]
     else:
         env_a, env_b = resolve_envelope(args.a, named), resolve_envelope(args.b, named)
-        lines = ["p,value,split"]
-        for p in ps:
-            res = otimes(env_a, env_b, float(p), full_output=True)
-            lines.append(f"{_fmt(p)},{_fmt(res.value)},{_fmt(res.split)}")
+        values, splits = _otimes_grid(env_a, env_b, ps)
+        lines = ["p,value,split"] + [
+            f"{_fmt(p)},{_fmt(v)},{_fmt(a)}" for p, v, a in zip(ps, values, splits)
+        ]
     _emit(lines, args.out)
     return 0
 

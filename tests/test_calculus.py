@@ -25,6 +25,7 @@ from polymoment import (
     tabulate_envelope,
     zeta_chain,
 )
+from scalar_search import ref_otimes
 
 
 def growth_closed_form(c1, mu1, c2, mu2, p):
@@ -480,7 +481,7 @@ class TestHoelderAndSharpness:
 
 
 def ref_otimes_chain(envs, p_grid=None, points=257):
-    """The left fold as its own loop (before otimes_chain shared the zeta fold)."""
+    """The left fold as its own loop (before otimes_chain shared the zeta fold), scalar search."""
     from polymoment.calculus import _stage_grid
 
     envs = list(envs)
@@ -500,7 +501,7 @@ def ref_otimes_chain(envs, p_grid=None, points=257):
             grid = final_grid
         else:
             grid = _stage_grid(eff_acc, r_acc, points, p_max_hint, final=last)
-        vals = np.array([otimes(acc, nxt, float(p)) for p in grid])
+        vals = np.array([ref_otimes(acc, nxt, float(p)).value for p in grid])
         assert np.all(np.isfinite(vals))
         acc = Tabulated(grid, vals, upper=r_acc if math.isfinite(r_acc) else None)
         eff_acc = acc.evaluable_upper()[0]
@@ -557,7 +558,7 @@ def ref_zeta_stages(regime, nus, points=257, p_grid=None):
         eff_acc = combined_exponent([stages[-1].evaluable_upper()[0], nxt.evaluable_upper()[0]])
         last = m == d - 1
         grid = final_grid if last else _stage_grid(eff_acc, r_acc, points, p_max_hint, final=False)
-        vals = np.array([K_M(p) * otimes(stages[-1], nxt, float(p)) for p in grid])
+        vals = np.array([K_M(p) * ref_otimes(stages[-1], nxt, float(p)).value for p in grid])
         stages.append(stage(grid, vals, r_acc))
     return stages
 

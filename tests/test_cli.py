@@ -38,6 +38,22 @@ class TestEnvelopeCommand:
         assert float(value) == pytest.approx(4.0, rel=1e-6)
         assert float(split) == pytest.approx(0.5, abs=1e-4)
 
+    def test_otimes_output_bytes(self, capsys):
+        # the whole --p list is composed in one search; the text is what the
+        # scalar search printed, the infeasible exponent 10 included
+        code, out, _ = run_cli(
+            capsys, "envelope", "otimes", "--a", "ps_r6", "--b", "ps_r8", "--p", "1,2,3.4,3.428,10"
+        )
+        assert code == 0
+        assert out == (
+            "p,value,split\n"
+            "1,0.63256120532729543,0.57142857142842862\n"
+            "2,0.73844273486191114,0.57142857796661961\n"
+            "3.3999999999999999,2.3112649854483758,0.57142857126152746\n"
+            "3.4279999999999999,7.2340691847390906,0.57142857145394421\n"
+            "10,inf,nan\n"
+        )
+
     def test_unresolved_name(self, capsys):
         code, _, err = run_cli(capsys, "envelope", "eval", "--name", "nosuch", "--p", "2")
         assert code == 2

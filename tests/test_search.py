@@ -1,10 +1,14 @@
-"""The shared scan-and-polish search against the two searches it replaced,
-and the lockstep stage-grid search against the scalar one.
+"""The composition search and the conjugate-tail optimiser against the
+scalar searches they replaced.
 
 ``otimes`` and the conjugate-tail optimiser used to run their own copies of
-the scan, first-minimum bracket and golden-section polish.  The reference
-code below is those copies, kept verbatim, so the shared search must give
-bit-identical results from the same sequence of envelope evaluations.
+the scan, first-minimum bracket and golden-section polish.  Those copies are
+kept verbatim, the composition's in ``scalar_search`` and the tails' below.
+The tails must give bit-identical results from the same sequence of envelope
+evaluations.  Composition is one lockstep search over whole exponent grids
+(``_otimes_grid``, with ``otimes`` a one-row call of it), evaluated through
+``values_at``; it must give the scalar search's values and splits bit for
+bit at every exponent.
 """
 
 import math
@@ -27,113 +31,14 @@ from polymoment import (
     tail_inf_form,
 )
 from polymoment import calculus
-from polymoment.calculus import DoobMaximal, OtimesResult, _otimes_grid
+from polymoment.calculus import DoobMaximal, _otimes_grid
 from polymoment.envelope import EnvelopeDomainError, MomentEnvelope
 from polymoment.polymodel import ParetoPower, Rademacher, natural_envelope
+from scalar_search import ref_golden_min, ref_otimes
 
 # ---------------------------------------------------------------------------
-# reference: the two searches as separate scalar loops
+# reference: the conjugate-tail search as its own scalar loop
 # ---------------------------------------------------------------------------
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-_INSET = 1e-12
-
-
-def ref_golden_min(f, lo, hi, tol=1e-10, max_iter=300):
-    a, b = (lo, hi) if lo <= hi else (hi, lo)
-    h = b - a
-    if h <= tol or h == 0.0:
-        x = 0.5 * (a + b)
-        return x, f(x)
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    yc, yd = f(c), f(d)
-    n = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
-    for _ in range(max(min(n, max_iter) - 1, 0)):
-        if yc < yd:
-            b, d, yd = d, c, yc
-            h *= _INV_PHI
-            c = a + _INV_PHI2 * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h *= _INV_PHI
-            d = a + _INV_PHI * h
-            yd = f(d)
-    if yc < yd:
-        return c, yc
-    return d, yd
-
-
-def ref_bracketed_min(f, lo, hi, coarse=64, tol=1e-10):
-    if hi < lo:
-        lo, hi = hi, lo
-    if hi == lo:
-        return lo, f(lo)
-    step = (hi - lo) / (coarse - 1)
-    xs = [lo + step * k for k in range(coarse - 1)] + [hi]
-    ys = [f(x) for x in xs]
-    k = min(range(len(xs)), key=lambda i: ys[i])
-    if math.isinf(ys[k]):
-        return xs[k], ys[k]
-    lo2 = xs[max(k - 1, 0)]
-    hi2 = xs[min(k + 1, len(xs) - 1)]
-    x, y = ref_golden_min(f, lo2, hi2, tol=tol)
-    if ys[k] < y:
-        x, y = xs[k], ys[k]
-    return x, y
-
-
-def ref_otimes_search(nu1, nu2, p, coarse):
-    r1, closed1 = nu1.evaluable_upper()
-    r2, closed2 = nu2.evaluable_upper()
-    a_lo = p / r1 if math.isfinite(r1) else 0.0
-    a_hi = 1.0 - (p / r2 if math.isfinite(r2) else 0.0)
-    if a_hi <= a_lo:
-        return OtimesResult(math.inf, math.nan)
-    width = a_hi - a_lo
-    inset = max(_INSET * max(width, 1.0), 1e-300)
-    lo = a_lo + inset
-    hi = a_hi - inset
-    if hi <= lo:
-        lo = hi = 0.5 * (a_lo + a_hi)
-
-    def objective(a):
-        if a <= 0.0 or a >= 1.0:
-            return math.inf
-        v1 = nu1(p / a)
-        if math.isinf(v1):
-            return math.inf
-        v2 = nu2(p / (1.0 - a))
-        return v1 * v2
-
-    a_best, v_best = ref_bracketed_min(objective, lo, hi, coarse=coarse, tol=_INSET)
-    if math.isfinite(r1) and closed1 and 0.0 < a_lo < 1.0:
-        v = objective(a_lo)
-        if v < v_best:
-            a_best, v_best = a_lo, v
-    if math.isfinite(r2) and closed2 and 0.0 < a_hi < 1.0:
-        v = objective(a_hi)
-        if v < v_best:
-            a_best, v_best = a_hi, v
-    return OtimesResult(v_best, a_best)
-
-
-def ref_otimes(nu1, nu2, p, coarse=64):
-    p = float(p)
-    r1 = nu1.support.upper
-    r2 = nu2.support.upper
-    load = (p / r1 if math.isfinite(r1) else 0.0) + (p / r2 if math.isfinite(r2) else 0.0)
-    if load >= 1.0:
-        return OtimesResult(math.inf, math.nan)
-    swapped = r2 < r1
-    first, second = (nu2, nu1) if swapped else (nu1, nu2)
-    res = ref_otimes_search(first, second, p, coarse)
-    if swapped and not math.isnan(res.split):
-        res = OtimesResult(res.value, 1.0 - res.split)
-    return res
-
 
 def ref_optimal_exponent(spec, x):
     logx = math.log(x)
@@ -233,7 +138,7 @@ _PAIRS = [(a, b) for i, a in enumerate(_NAMES) for b in _NAMES[i:]]
 
 
 @pytest.mark.parametrize("first,second", _PAIRS)
-def test_otimes_matches_separate_search(first, second, evaluations):
+def test_otimes_matches_separate_search(first, second):
     envs = _envelopes()
     nu1, nu2 = envs[first], envs[second]
     edge = combined_exponent([nu1.support.upper, nu2.support.upper])
@@ -245,13 +150,8 @@ def test_otimes_matches_separate_search(first, second, evaluations):
         ps = [1.0, 2.5, 17.0, 60.0]
     for p in ps:
         for a, b in ((nu1, nu2), (nu2, nu1)):
-            del evaluations[:]
-            got = otimes(a, b, p, full_output=True)
-            got_calls = list(evaluations)
-            del evaluations[:]
-            want = ref_otimes(a, b, p)
+            got, want = otimes(a, b, p, full_output=True), ref_otimes(a, b, p)
             assert same(got.value, want.value) and same(got.split, want.split), (p, got, want)
-            assert got_calls == evaluations
 
 
 def _tail_specs():
@@ -295,7 +195,7 @@ def test_growth_tail_at_large_threshold_expands_above_the_grid():
 
 
 # ---------------------------------------------------------------------------
-# whole stage grids: the lockstep search against the scalar one
+# whole stage grids: values and splits against the scalar search
 # ---------------------------------------------------------------------------
 
 
@@ -322,9 +222,11 @@ def test_otimes_grid_matches_scalar_otimes(first, second):
     nu1, nu2 = envs[first], envs[second]
     ps = _grid_points(combined_exponent([nu1.support.upper, nu2.support.upper]))
     for a, b in ((nu1, nu2), (nu2, nu1)):
-        want = [otimes(a, b, p) for p in ps]
-        assert all(type(v) is float for v in want)
-        assert same_bits(_otimes_grid(a, b, ps), want), (first, second)
+        want = [ref_otimes(a, b, p) for p in ps]
+        assert all(type(v) is float for res in want for v in res)
+        values, splits = _otimes_grid(a, b, ps)
+        assert same_bits(values, [res.value for res in want]), (first, second)
+        assert same_bits(splits, [res.split for res in want]), (first, second)
 
 
 def test_open_tabulated_end_is_not_an_attained_split(evaluations, monkeypatch):
@@ -334,25 +236,32 @@ def test_open_tabulated_end_is_not_an_attained_split(evaluations, monkeypatch):
     tab = Tabulated([1.0, 2.0, 4.0], [1.0, 1.5, 3.0], upper_closed=False)
     nu2 = PowerSingularity(r=6.0)
     ps = np.array([1.5, 2.0, 2.3])
-    want = [otimes(tab, nu2, p) for p in ps]
+    want = [ref_otimes(tab, nu2, p) for p in ps]
     assert max(q for env, q in evaluations if env == id(tab)) < 4.0 * (1.0 - 1e-13)
     seen = []
     values_at = Tabulated.values_at
     monkeypatch.setattr(
         Tabulated, "values_at", lambda env, qs: seen.extend(qs) or values_at(env, qs)
     )
-    assert same_bits(_otimes_grid(tab, nu2, ps), want)
+    values, splits = _otimes_grid(tab, nu2, ps)
+    assert same_bits(values, [res.value for res in want])
+    assert same_bits(splits, [res.split for res in want])
     assert max(seen) < 4.0 * (1.0 - 1e-13)
 
 
 def test_otimes_grid_whole_grid_infeasible_and_domain():
     nu1, nu2 = Indicator(r=2.0), PowerSingularity(r=3.0)
     ps = np.array([1.2, 1.5, 3.0])  # load >= 1 everywhere
-    assert same_bits(_otimes_grid(nu1, nu2, ps), [otimes(nu1, nu2, p) for p in ps])
-    assert _otimes_grid(nu1, nu2, np.array([])).shape == (0,)
+    want = [ref_otimes(nu1, nu2, p) for p in ps]
+    values, splits = _otimes_grid(nu1, nu2, ps)
+    assert same_bits(values, [res.value for res in want])
+    assert same_bits(splits, [res.split for res in want])
+    assert all(part.shape == (0,) for part in _otimes_grid(nu1, nu2, np.array([])))
     for bad in (0.5, math.inf, math.nan):
         with pytest.raises(EnvelopeDomainError):
             _otimes_grid(nu1, nu2, np.array([1.0, bad]))
+        with pytest.raises(EnvelopeDomainError):
+            otimes(nu1, nu2, bad)
 
 
 def test_compose_stages_match_scalar_fold(monkeypatch):
@@ -363,7 +272,8 @@ def test_compose_stages_match_scalar_fold(monkeypatch):
     ]
     got = calculus._compose_stages(envs[0], 6.0, envs[1:], None, 65)
     monkeypatch.setattr(
-        calculus, "_otimes_grid", lambda a, b, ps: np.array([otimes(a, b, p) for p in ps])
+        calculus, "_otimes_grid",
+        lambda a, b, ps: (np.array([ref_otimes(a, b, p).value for p in ps]), None),
     )
     want = calculus._compose_stages(envs[0], 6.0, envs[1:], None, 65)
     for g, w in zip(got, want):
