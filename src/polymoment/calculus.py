@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -555,10 +556,9 @@ class DoobMaximal(MomentEnvelope):
 
     inner: MomentEnvelope = None
 
-    @property
+    @cached_property
     def support(self) -> SupportInterval:
-        sup = self.inner.support
-        return SupportInterval(max(sup.lower, 1.0), sup.upper, sup.upper_closed)
+        return self.inner.support
 
     def evaluable_upper(self):
         return self.inner.evaluable_upper()

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -213,7 +214,7 @@ class PowerSingularity(MomentEnvelope):
         if not (self.power > 0):
             raise ValueError("singularity power must be positive")
 
-    @property
+    @cached_property
     def support(self) -> SupportInterval:
         return SupportInterval(self.lower, self.r, upper_closed=False)
 
@@ -239,7 +240,7 @@ class PowerGrowth(MomentEnvelope):
         if not (self.scale > 0):
             raise ValueError("scale must be positive")
 
-    @property
+    @cached_property
     def support(self) -> SupportInterval:
         return SupportInterval(self.lower, math.inf, upper_closed=False)
 
@@ -257,7 +258,7 @@ class Indicator(MomentEnvelope):
     r: float = 2.0
     lower: float = 1.0
 
-    @property
+    @cached_property
     def support(self) -> SupportInterval:
         return SupportInterval(self.lower, self.r, upper_closed=True)
 
@@ -355,7 +356,7 @@ class Scaled(MomentEnvelope):
         if not (self.factor > 0):
             raise ValueError("scale factor must be positive")
 
-    @property
+    @cached_property
     def support(self) -> SupportInterval:
         return self.inner.support
 
@@ -382,7 +383,7 @@ class Product(MomentEnvelope):
             raise ValueError("product of zero envelopes is undefined")
         object.__setattr__(self, "factors", tuple(self.factors))
 
-    @property
+    @cached_property
     def support(self) -> SupportInterval:
         lower = max(f.support.lower for f in self.factors)
         upper = min(f.support.upper for f in self.factors)

@@ -52,7 +52,6 @@ from .polymodel import (
     enumerate_indices,
     model_to_config,
     natural_envelope,
-    tuple_products,
 )
 from .tails import ConjugateSpec, ConjugateTail, dominance_check, fit_tail_rescale
 
@@ -262,22 +261,16 @@ def _columns(row: NamedTuple) -> List[str]:
     return ["pass" if f == "passed" else f for f in row._fields]
 
 
-def _sweep_tensors(model: PolynomialModel, count: int, seed: int):
-    """Structured extremes plus random unit tensors for the coefficient sweep."""
-    d_t = model.coefficients.d
-    tuples = list(enumerate_indices(d_t, model.n))
-    labels = ["uniform", "single"]
-    tensors = [CoefficientTensor.uniform(d_t, model.n), CoefficientTensor.single(d_t, model.n)]
+def _sweep_tensors(sampler: Sampler, count: int, seed: int):
+    """Labels, flat tuple rows and the coefficient matrix of the sweep's unit tensors."""
+    d_t, n = sampler.model.slots, sampler.model.n
+    tuples = list(enumerate_indices(d_t, n))
     gen = _stream(seed, 1 << 32)
-    for j in range(count):
-        tensors.append(CoefficientTensor.random_unit(d_t, model.n, gen))
-        labels.append(f"random_{j}")
-    matrix = np.zeros((len(tensors), len(tuples)))
-    index = {I: j for j, I in enumerate(tuples)}
-    for t, tensor in enumerate(tensors):
-        for I, b in tensor.entries.items():
-            matrix[t, index[I]] = b
-    return labels, tensors, tuples, matrix
+    tensors = [CoefficientTensor.uniform(d_t, n), CoefficientTensor.single(d_t, n)]
+    tensors += [CoefficientTensor.random_unit(d_t, n, gen) for _ in range(count)]
+    labels = ["uniform", "single"] + [f"random_{j}" for j in range(count)]
+    matrix = np.array([[t.entries.get(I, 0.0) for I in tuples] for t in tensors])
+    return labels, sampler.flat_rows(tuples), matrix
 
 
 def _batch_statistics(plan: ExperimentPlan, sampler: Sampler, b: int, size: int, sweep) -> Dict:
@@ -289,9 +282,8 @@ def _batch_statistics(plan: ExperimentPlan, sampler: Sampler, b: int, size: int,
     tails = np.array([np.count_nonzero(aq >= x) for x in plan.x_grid], dtype=float)
     out = {"powers": powers, "tails": tails, "count": size}
     if sweep is not None:
-        _, _, tuples, matrix = sweep
-        prods = tuple_products(factors, tuples)
-        qs = np.abs(matrix @ prods)  # (tensors, size)
+        _, rows, matrix = sweep
+        qs = np.abs(matrix @ sampler.products(factors, rows))  # (tensors, size)
         out["sweep"] = np.stack([np.sum(qs ** p, axis=1) for p in plan.p_grid], axis=1)
     return out
 
@@ -351,15 +343,15 @@ def _tail_section(plan: ExperimentPlan, stats: List[Dict], bound_env):
 def _run(plan: ExperimentPlan) -> VerificationReport:
     t0 = time.perf_counter()
     bound_env = plan.bound_envelope
-    sweep = _sweep_tensors(plan.model, plan.b_sweep, plan.seed) if plan.b_sweep else None
     sampler = Sampler(plan.model, plan.window)
+    sweep = _sweep_tensors(sampler, plan.b_sweep, plan.seed) if plan.b_sweep else None
     stats = _gather_batches(plan, sampler, sweep)
     rows = _moment_rows(plan, stats, bound_env)
     tail_rows, tail_meta = _tail_section(plan, stats, bound_env)
 
     sweep_section = None
     if sweep is not None:
-        labels, _, _, _ = sweep
+        labels, _, _ = sweep
         total = float(sum(s["count"] for s in stats))
         sums = np.sum([s["sweep"] for s in stats], axis=0)  # (tensors, p)
         values = (sums / total) ** (1.0 / plan.p_grid[None, :])

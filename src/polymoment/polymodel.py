@@ -71,7 +71,6 @@ __all__ = [
     "stratified_moment",
     "batch_plan",
     "iter_q_batches",
-    "tuple_products",
     "save_samples",
     "model_to_config",
     "model_from_config",
@@ -175,14 +174,6 @@ class CoefficientTensor:
 
     def norm2(self) -> float:
         return float(sum(v * v for v in self.entries.values()))
-
-    def unit_normalized(self) -> "CoefficientTensor":
-        norm = math.sqrt(self.norm2())
-        if norm == 0.0:
-            raise ValueError("cannot normalise the zero tensor")
-        return CoefficientTensor(
-            self.d, self.n, {k: v / norm for k, v in self.entries.items()}
-        )
 
     @property
     def is_uniform(self) -> bool:
@@ -858,18 +849,17 @@ def _stream(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def batch_plan(replications: int, target_batches: int = 64) -> List[int]:
+# batch_plan aims at this many batches, each of 1024 to 65536 replications
+TARGET_BATCHES = 64
+
+
+def batch_plan(replications: int) -> List[int]:
     """Deterministic partition of a replication count into stream batches."""
     if replications < 1:
         raise ValueError("need at least one replication")
-    size = min(65536, max(1024, -(-replications // target_batches)))
-    sizes = []
-    left = replications
-    while left > 0:
-        take = min(size, left)
-        sizes.append(take)
-        left -= take
-    return sizes
+    size = min(65536, max(1024, -(-replications // TARGET_BATCHES)))
+    full, rest = divmod(replications, size)
+    return [size] * full + ([rest] if rest else [])
 
 
 def _window(model: PolynomialModel, window: Optional[Tuple[int, int]]) -> Tuple[int, int]:
@@ -896,9 +886,24 @@ def power_mean(model: PolynomialModel, slot: int) -> float:
     return _moments(dist, [k], loc, signed=True)[0] / scale ** k
 
 
-# term products per block of a general tensor's Q: its two per-thread 64K
-# double buffers (1 MB) stay in one core's L2 cache
+# term products per gathered block (general-tensor Q, sweep products): a 64K
+# double block and its per-thread gather buffer (1 MB) stay in one core's L2 cache
 BLOCK_ELEMENTS = 1 << 16
+
+
+def _term_products(source, rows, out, gather, coefs=None) -> np.ndarray:
+    """``out[k] = ((coefs[k] * source[rows[0, k]]) * source[rows[1, k]]) * ...``, left to right.
+
+    Each later factor is gathered into ``gather[:len(out)]``; mode "clip"
+    gathers straight into out, "raise" would buffer it.
+    """
+    gather = gather[:len(out)]
+    np.take(source, rows[0], axis=0, out=out, mode="clip")
+    if coefs is not None:
+        out *= coefs
+    for m in range(1, len(rows)):
+        out *= np.take(source, rows[m], axis=0, out=gather, mode="clip")
+    return out
 
 
 class Sampler:
@@ -944,22 +949,25 @@ class Sampler:
             tensor = tensor.restrict(self.i_lo, i_hi)
         self.coef = next(iter(tensor.entries.values())) if tensor.is_uniform else None
         if self.coef is None:
-            # general tensors: the lexicographic terms as (slots, K) rows
-            # ``i * slots + m`` of the factors seen as (rows * slots, size)
-            # and a (K, 1) coefficient column, and the same per last-index
-            # group (in increasing order) for the running maximum
+            # general tensors: the lexicographic terms as flat rows and a
+            # (K, 1) coefficient column, and the same per last-index group
+            # (in increasing order) for the running maximum
             items = tensor.items_sorted()
-            rows = np.array([I for I, _ in items], dtype=np.intp).reshape(len(items), tensor.d)
-            rows = np.ascontiguousarray(rows.T - self.i_lo)
-            flat = rows * slots + np.arange(slots).reshape(-1, 1)
+            flat = self.flat_rows([I for I, _ in items])
             coefs = np.array([b for _, b in items]).reshape(-1, 1)
             self.terms = [(flat, coefs)]
             # not np.unique: its first call imports numpy.ma (15-30 ms)
-            last = rows[-1]
+            last = flat[-1] // slots
             self.terms_by_last = [
                 (flat[:, last == k], coefs[last == k]) for k in sorted(set(last.tolist()))
             ]
         self._local = threading.local()
+
+    def flat_rows(self, tuples: Sequence[IndexTuple]) -> np.ndarray:
+        """Tuples as (slots, K) rows ``(i - i_lo) * slots + m`` of the (rows * slots, size) factors."""
+        slots = self.model.slots
+        rows = np.array(tuples, dtype=np.intp).reshape(len(tuples), slots).T - self.i_lo
+        return np.ascontiguousarray(rows * slots + np.arange(slots).reshape(-1, 1))
 
     def _buffers(self, use: str, *shapes: Tuple[int, ...]) -> List[np.ndarray]:
         """This thread's buffers of ``shapes`` for ``use``, kept until the shapes change."""
@@ -1048,17 +1056,24 @@ class Sampler:
         q = np.zeros(size)
         for rows, coefs in self.terms_by_last if running_max else self.terms:
             for lo in range(0, len(coefs), block):
-                blk, b = rows[:, lo:lo + block], coefs[lo:lo + block]
-                t, g = prod[:len(b)], gather[:len(b)]
-                # mode "clip" gathers straight into out; "raise" buffers it
-                np.multiply(np.take(source, blk[0], axis=0, out=t, mode="clip"), b, out=t)
-                for m in range(1, len(blk)):
-                    t *= np.take(source, blk[m], axis=0, out=g, mode="clip")
+                b = coefs[lo:lo + block]
+                t = _term_products(source, rows[:, lo:lo + block], prod[:len(b)], gather, b)
                 t[0] += q
                 q = np.add.reduce(t, axis=0)
             if running_max:
                 np.maximum(best, np.abs(q), out=best)
         return best if running_max else q
+
+    def products(self, factors: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Unweighted products at the flat ``rows``, (K, size) in this thread's buffer, gathered
+        in blocks of at most BLOCK_ELEMENTS products; this thread's next call overwrites it."""
+        size, count = factors.shape[-1], rows.shape[1]
+        block = max(1, min(BLOCK_ELEMENTS // size, count))
+        out, gather = self._buffers("products", (count, size), (block, size))
+        source = factors.reshape(-1, size)
+        for lo in range(0, count, block):
+            _term_products(source, rows[:, lo:lo + block], out[lo:lo + block], gather)
+        return out
 
     def enumerate(self, limit: int = 1 << 24) -> Tuple[np.ndarray, np.ndarray]:
         """Exact joint states of a finitely supported model as time-major factors.
@@ -1109,20 +1124,6 @@ class Sampler:
         if self.symmetrized:
             self.modulate(cells)
         return self.factors(cells), probs
-
-
-def tuple_products(
-    cells: np.ndarray, tuples: Sequence[IndexTuple], i_lo: int = 1
-) -> np.ndarray:
-    """Matrix of per-tuple factor products from time-major cells, shape (len(tuples), size).
-
-    Shared across coefficient tensors when sweeping the unit ball.
-    """
-    rows = np.asarray(tuples, dtype=np.intp) - i_lo
-    out = cells[rows[:, 0], 0]
-    for m in range(1, rows.shape[1]):
-        out *= cells[rows[:, m], m]
-    return out
 
 
 def iter_q_batches(

@@ -20,6 +20,7 @@ from polymoment import (
     Tabulated,
     WeibullTail,
     TabulatedTail,
+    doob_maximal_envelope,
     empirical_moments,
     gls_norm,
     moments_from_tail,
@@ -152,6 +153,30 @@ class TestSupportInterval:
         assert sup.contains(3.999)
         assert not sup.contains(4.0)
         assert SupportInterval(1.0, 4.0, upper_closed=True).contains(4.0)
+
+    @pytest.mark.parametrize("env", [
+        PowerSingularity(r=4.0, lower=1.5),
+        PowerGrowth(growth=1.0),
+        Indicator(r=3.0),
+        Scaled(PowerSingularity(r=4.0), 2.0),
+        Product((PowerSingularity(r=4.0), Indicator(r=3.0), PowerGrowth())),
+        doob_maximal_envelope(PowerSingularity(r=4.0, lower=1.5)),
+    ], ids=lambda env: type(env).__name__)
+    def test_computed_once(self, env):
+        sup = env.support
+        assert env.support is sup
+        assert env(sup.lower) == env(sup.lower)  # evaluation reads the cached interval
+        assert env.support is sup
+
+    def test_cached_values(self):
+        assert Product((PowerSingularity(r=4.0), Indicator(r=3.0))).support == SupportInterval(
+            1.0, 3.0, upper_closed=True
+        )
+        assert Product((PowerSingularity(r=3.0), Indicator(r=3.0))).support == SupportInterval(
+            1.0, 3.0, upper_closed=False
+        )
+        inner = PowerSingularity(r=4.0, lower=1.5)
+        assert doob_maximal_envelope(inner).support is inner.support
 
 
 class TestMomentNorm:

@@ -865,6 +865,125 @@ class TestBlockPath:
         assert payloads[0] == payloads[1] == payloads[2]
 
 
+def ref_tuple_products(factors, tuples):
+    """Per-tuple factor products by fancy indexing of time-major factors, shape (tuples, size)."""
+    rows = np.asarray(tuples, dtype=np.intp) - 1
+    out = factors[rows[:, 0], 0]
+    for m in range(1, rows.shape[1]):
+        out *= factors[rows[:, m], m]
+    return out
+
+
+def ref_sweep(plan):
+    """The coefficient sweep's values from an index-dict matrix and ref_tuple_products,
+    reduced over the batches as run_experiment reduces them."""
+    model = plan.model
+    d_t, n = model.coefficients.d, model.n
+    tuples = list(enumerate_indices(d_t, n))
+    gen = _stream(plan.seed, 1 << 32)
+    tensors = [CoefficientTensor.uniform(d_t, n), CoefficientTensor.single(d_t, n)]
+    tensors += [CoefficientTensor.random_unit(d_t, n, gen) for _ in range(plan.b_sweep)]
+    matrix = np.zeros((len(tensors), len(tuples)))
+    index = {I: j for j, I in enumerate(tuples)}
+    for t, tensor in enumerate(tensors):
+        for I, b in tensor.entries.items():
+            matrix[t, index[I]] = b
+    sampler = Sampler(model)
+    sums, total = [], 0.0
+    for b, size in enumerate(batch_plan(plan.replications)):
+        factors = sampler.factors(sampler.cells(plan.seed, b, size))
+        qs = np.abs(matrix @ ref_tuple_products(factors, tuples))
+        sums.append(np.stack([np.sum(qs ** p, axis=1) for p in plan.p_grid], axis=1))
+        total += size
+    values = (np.sum(sums, axis=0) / total) ** (1.0 / plan.p_grid[None, :])
+    return values.tolist(), values.max(axis=0).tolist()
+
+
+class TestSweepProducts:
+    """The coefficient sweep's term products come from Sampler.products, bit for bit."""
+
+    pareto = staticmethod(TestReferenceIdentity.pareto)
+
+    def models(self):
+        general = CoefficientTensor.random_unit(3, 12, np.random.default_rng(5))
+        mult = CoefficientTensor.random_unit(2, 6, np.random.default_rng(6))
+        return {
+            "general": self.pareto("martingale", 3, 12, tensor=general),
+            "uniform": self.pareto("common_independent", 2, 9),
+            "multiplicities": common_model(
+                3, 6, [ParetoPower(9.0, centered=True, standardized=True), Rademacher()],
+                tensor=mult, multiplicities=(2, 1),
+            ),
+        }
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind", ["general", "uniform", "multiplicities"])
+    def test_sweep_matches_the_oracle(self, kind, threads):
+        # 1025 replications run batches of 1024 and 1, so each thread's
+        # products buffer changes shape mid-run
+        assert batch_plan(1025) == [1024, 1]
+        plan = ExperimentPlan(
+            model=self.models()[kind], replications=1025, p_grid=(1.5, 3.0),
+            bound=Scaled(Indicator(r=10.0), 1e300), seed=9, threads=threads, b_sweep=4,
+        )
+        sweep = run_experiment(plan).sweep
+        values, top = ref_sweep(plan)
+        assert sweep["labels"] == ["uniform", "single"] + [f"random_{j}" for j in range(4)]
+        assert sweep["values"] == values
+        assert sweep["max_over_tensors"] == top
+
+    @pytest.mark.parametrize("size", [1024, 7, 1, 40_000])
+    def test_products_match_fancy_indexing(self, size):
+        model = self.models()["general"]
+        tuples = list(enumerate_indices(3, 12))
+        sampler = Sampler(model)
+        # 1024 gathers in blocks of 64 tuples with a ragged last, 40,000 in
+        # blocks of one, 7 and 1 in a single block
+        assert BLOCK_ELEMENTS // 1024 == 64 and BLOCK_ELEMENTS // 40_000 == 1
+        factors = sampler.factors(sampler.cells(21, 0, size))
+        got = sampler.products(factors, sampler.flat_rows(tuples))
+        assert_identical(got, ref_tuple_products(factors, tuples))
+
+    def test_one_buffer_per_thread_and_size(self):
+        import threading
+
+        model = self.models()["general"]
+        sampler = Sampler(model)
+        rows = sampler.flat_rows(list(enumerate_indices(3, 12)))
+        big = [sampler.factors(sampler.cells(21, b, 1024)) for b in range(2)]
+        small = sampler.factors(sampler.cells(21, 2, 7))
+        first = sampler.products(big[0], rows)
+        assert sampler.products(big[1], rows) is first
+        resized = sampler.products(small, rows)
+        assert resized is not first and resized.shape == (220, 7)
+        assert sampler.products(small, rows) is resized
+        other = []
+        worker = threading.Thread(target=lambda: other.append(sampler.products(small, rows)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert other[0] is not resized
+        assert_identical(other[0], resized)
+
+
+class TestBatchPlan:
+    @pytest.mark.parametrize("replications, want", [
+        (1, [1]),
+        (1023, [1023]),
+        (1024, [1024]),
+        (1025, [1024, 1]),
+        (200_000, [3125] * 64),
+        (350_000, [5469] * 63 + [5453]),
+        (64 * 65536 + 1, [65536] * 64 + [1]),
+    ])
+    def test_partition(self, replications, want):
+        assert batch_plan(replications) == want
+
+    def test_rejects_no_replications(self):
+        with pytest.raises(ValueError, match="at least one"):
+            batch_plan(0)
+
+
 class TestLogPerturbedPareto:
     def test_run_experiment(self):
         dist = LogPerturbedPareto(6.0, 0.5, SlowlyVarying.log_power(1.0))
