@@ -150,15 +150,15 @@ def _extension(name: str):
     return module or importlib.import_module(name)
 
 
-def quad(f: Callable[..., float], a: float, b: float, args: tuple = ()) -> float:
-    """``scipy.integrate.quad(f, a, b, args, full_output=1, epsabs=0.0, epsrel=1e-11,
+def quad(f: Callable[[float], float], a: float, b: float) -> float:
+    """``scipy.integrate.quad(f, a, b, full_output=1, epsabs=0.0, epsrel=1e-11,
     limit=400)[0]`` for ``a <= b <= inf``, bit for bit; it never warns either."""
     if a == b:
         return 0.0
     qp = _extension("scipy.integrate._quadpack")
     if b == math.inf:
-        return qp._qagie(f, a, 1, args, 1, 0.0, 1e-11, 400)[0]
-    return qp._qagse(f, a, b, args, 1, 0.0, 1e-11, 400)[0]
+        return qp._qagie(f, a, 1, (), 1, 0.0, 1e-11, 400)[0]
+    return qp._qagse(f, a, b, (), 1, 0.0, 1e-11, 400)[0]
 
 
 def brentq(f: Callable[[float], float], a: float, b: float) -> float:

@@ -705,7 +705,6 @@ def _tabulate_natural(dist: InputDistribution, symmetrized: bool, grid: Tuple[fl
 def natural_envelope(
     dist: InputDistribution,
     regime_tag: str,
-    p_grid: Optional[Sequence[float]] = None,
     points: int = 257,
 ) -> Tabulated:
     """Tight moment envelope of the sampled cells for one factor slot.
@@ -723,12 +722,8 @@ def natural_envelope(
     """
     symmetrized = _is_symmetrized(regime_tag)
     r = dist.moment_boundary
-    if p_grid is None:
-        hi = 1.0 + 0.999 * (r - 1.0) if math.isfinite(r) else 64.0
-        grid = chebyshev_grid(1.0, hi, points)
-    else:
-        grid = np.asarray(p_grid, dtype=float)
-    return _tabulate_natural(dist, symmetrized, tuple(grid.tolist()))
+    hi = 1.0 + 0.999 * (r - 1.0) if math.isfinite(r) else 64.0
+    return _tabulate_natural(dist, symmetrized, tuple(chebyshev_grid(1.0, hi, points).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +882,7 @@ def power_mean(model: PolynomialModel, slot: int) -> float:
 
 
 # term products per gathered block (general-tensor Q, sweep products): a 64K
-# double block and its per-thread gather buffer (1 MB) stay in one core's L2 cache
+# double block and its gather block (1 MB) stay in one core's L2 cache
 BLOCK_ELEMENTS = 1 << 16
 
 
@@ -920,8 +915,11 @@ class Sampler:
     against the cells.  Everything that does not depend on the draw is
     computed here: per-slot (loc, scale), power means, the key layout, the
     window-restricted tensor and whether the uniform-tensor recursion applies.
-    Batches only read this state and keep their scratch buffers per thread,
-    so one sampler serves concurrent batches.
+    Batches only read this state, so one sampler serves concurrent batches.
+    Each thread keeps one scratch array, grown to its largest request, for
+    the draws, Q's term blocks and ``products``' result; that result stays
+    valid until the same thread's next sampler call.  ``cells`` and ``q``
+    return fresh arrays.
     """
 
     def __init__(self, model: PolynomialModel, window: Optional[Tuple[int, int]] = None):
@@ -969,18 +967,18 @@ class Sampler:
         rows = np.array(tuples, dtype=np.intp).reshape(len(tuples), slots).T - self.i_lo
         return np.ascontiguousarray(rows * slots + np.arange(slots).reshape(-1, 1))
 
-    def _buffers(self, use: str, *shapes: Tuple[int, ...]) -> List[np.ndarray]:
-        """This thread's buffers of ``shapes`` for ``use``, kept until the shapes change."""
-        local = self._local
-        if getattr(local, use, (None,))[0] != shapes:
-            setattr(local, use, (None,))  # free the old buffers before making new ones
-            setattr(local, use, (shapes, [np.empty(shape) for shape in shapes]))
-        return getattr(local, use)[1]
+    def _scratch(self, *shapes: Tuple[int, ...]) -> List[np.ndarray]:
+        """C-contiguous views of ``shapes``, back to back in this thread's one scratch array."""
+        ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+        if getattr(self._local, "array", np.empty(0)).size < ends[-1]:
+            self._local.array = None  # drop the old array before making a larger one
+            self._local.array = np.empty(ends[-1])
+        return [self._local.array[a:b].reshape(t) for a, b, t in zip([0] + ends, ends, shapes)]
 
     def cells(self, seed: int, batch_index: int, size: int) -> np.ndarray:
         """One batch of transformed cells, time-major, before power centering."""
         gen = _stream(seed, batch_index)
-        draw, keys = self._buffers("draw", (size, self.nkeys), (self.nkeys, size))
+        draw, keys = self._scratch((size, self.nkeys), (self.nkeys, size))
         gen.random(out=draw)
         np.subtract(1.0, draw.T, out=keys)  # survival uniforms in (0, 1]
         keys = keys.reshape(self.key_shape + (size,))
@@ -1047,11 +1045,11 @@ class Sampler:
                     np.maximum(best, np.abs(self.coef * P[slots]), out=best)
             return best if running_max else self.coef * P[slots]
         # blocks of at most BLOCK_ELEMENTS term products, built in this
-        # thread's buffers and each summed in order onto q: bit for bit the
+        # thread's scratch and each summed in order onto q: bit for bit the
         # term-by-term loop q += ((b*f0)*f1)...  (size 1 takes one term a
         # block: a (K, 1) reduce would sum pairwise)
         block = max(1, min(BLOCK_ELEMENTS // size, len(self.terms[0][1]))) if size > 1 else 1
-        prod, gather = self._buffers("block", (2, block, size))[0]
+        prod, gather = self._scratch((block, size), (block, size))
         source = factors.reshape(-1, size)
         q = np.zeros(size)
         for rows, coefs in self.terms_by_last if running_max else self.terms:
@@ -1065,11 +1063,11 @@ class Sampler:
         return best if running_max else q
 
     def products(self, factors: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Unweighted products at the flat ``rows``, (K, size) in this thread's buffer, gathered
-        in blocks of at most BLOCK_ELEMENTS products; this thread's next call overwrites it."""
+        """Unweighted products at the flat ``rows``, (K, size) in this thread's scratch,
+        gathered in blocks of at most BLOCK_ELEMENTS products."""
         size, count = factors.shape[-1], rows.shape[1]
         block = max(1, min(BLOCK_ELEMENTS // size, count))
-        out, gather = self._buffers("products", (count, size), (block, size))
+        out, gather = self._scratch((count, size), (block, size))
         source = factors.reshape(-1, size)
         for lo in range(0, count, block):
             _term_products(source, rows[:, lo:lo + block], out[lo:lo + block], gather)

@@ -944,26 +944,101 @@ class TestSweepProducts:
         got = sampler.products(factors, sampler.flat_rows(tuples))
         assert_identical(got, ref_tuple_products(factors, tuples))
 
-    def test_one_buffer_per_thread_and_size(self):
+
+class TestScratch:
+    """Each thread keeps one scratch array: the draws, Q's term blocks and the
+    sweep's products are views of it, and of the sampler's results only
+    ``products`` is one."""
+
+    pareto = staticmethod(TestReferenceIdentity.pareto)
+    models = TestSweepProducts.models
+
+    def record(self, monkeypatch):
+        """The views each ``Sampler._scratch`` call returns, one list per call."""
+        calls = []
+        scratch = Sampler._scratch
+
+        def recording(sampler, *shapes):
+            calls.append(scratch(sampler, *shapes))
+            return calls[-1]
+
+        monkeypatch.setattr(Sampler, "_scratch", recording)
+        return calls
+
+    def batch(self, sampler, rows, size, b=0):
+        """cells, factors, q (plain and running max) and products of one batch."""
+        cells = sampler.cells(21, b, size)
+        factors = sampler.factors(cells)
+        q, best = sampler.q(factors), sampler.q(factors, True)
+        return cells, factors, q, best, sampler.products(factors, rows)
+
+    def test_draws_blocks_and_products_share_one_array(self, monkeypatch):
+        sampler = Sampler(self.models()["general"])
+        rows = sampler.flat_rows(list(enumerate_indices(3, 12)))
+        self.batch(sampler, rows, 1024)  # grows the array to the largest request
+        calls = self.record(monkeypatch)
+        *_, products = self.batch(sampler, rows, 1024, b=1)
+        # cells (draw, keys), q twice (product, gather), products (out, gather)
+        assert [len(views) for views in calls] == [2, 2, 2, 2]
+        array = sampler._local.array
+        for views in calls:
+            for view in views:
+                assert view.flags.c_contiguous and np.shares_memory(view, array)
+            # one call's views lie back to back, so they never overlap
+            assert not np.shares_memory(*views)
+        assert products is calls[-1][0]
+
+    def test_a_smaller_batch_reuses_the_array(self):
+        sampler = Sampler(self.models()["general"])
+        tuples = list(enumerate_indices(3, 12))
+        rows = sampler.flat_rows(tuples)
+        self.batch(sampler, rows, 7)
+        small = sampler._local.array
+        self.batch(sampler, rows, 1024)
+        array = sampler._local.array
+        # 220 products and a 64-product gather block of 1024 replications
+        assert array is not small and array.size == (220 + 64) * 1024
+        for size in (1024, 300, 7, 1):
+            *_, factors, _, _, products = self.batch(sampler, rows, size)
+            assert sampler._local.array is array and array.size == (220 + 64) * 1024
+            assert_identical(products, ref_tuple_products(factors, tuples))
+
+    @pytest.mark.parametrize("kind", ["general", "uniform", "multiplicities", "identity"])
+    def test_cells_and_q_never_alias_it(self, kind):
+        if kind == "identity":
+            # a quantile that hands back its input, a view of the scratch
+            dist = CustomQuantile(quantile=lambda u: u, boundary=math.inf)
+            model = common_model(2, 6, [dist, dist], tag="martingale")
+        else:
+            model = self.models()[kind]
+        sampler = Sampler(model)
+        rows = sampler.flat_rows(list(enumerate_indices(model.slots, model.n)))
+        for size in (1024, 7):
+            cells, factors, q, best, products = self.batch(sampler, rows, size)
+            array = sampler._local.array
+            assert np.shares_memory(products, array)
+            for out in (cells, factors, q, best):
+                assert not np.shares_memory(out, array)
+
+    def test_each_thread_keeps_its_own_array(self):
         import threading
 
-        model = self.models()["general"]
-        sampler = Sampler(model)
+        sampler = Sampler(self.models()["general"])
         rows = sampler.flat_rows(list(enumerate_indices(3, 12)))
-        big = [sampler.factors(sampler.cells(21, b, 1024)) for b in range(2)]
-        small = sampler.factors(sampler.cells(21, 2, 7))
-        first = sampler.products(big[0], rows)
-        assert sampler.products(big[1], rows) is first
-        resized = sampler.products(small, rows)
-        assert resized is not first and resized.shape == (220, 7)
-        assert sampler.products(small, rows) is resized
+        factors = sampler.factors(sampler.cells(21, 0, 7))
+        mine = sampler.products(factors, rows)
         other = []
-        worker = threading.Thread(target=lambda: other.append(sampler.products(small, rows)))
+
+        def work():
+            other.append((sampler.products(factors, rows), sampler._local.array))
+
+        worker = threading.Thread(target=work)
         worker.start()
         worker.join(timeout=60)
         assert not worker.is_alive()
-        assert other[0] is not resized
-        assert_identical(other[0], resized)
+        assert not np.shares_memory(other[0][1], sampler._local.array)
+        assert np.shares_memory(other[0][0], other[0][1])
+        assert_identical(other[0][0], mine)
 
 
 class TestBatchPlan:
@@ -1331,7 +1406,8 @@ class TestScipyExtensions:
     def test_quad_matches_scipy(self, f, a, b, args):
         from polymoment._optim import quad
 
-        got, want = quad(f, a, b, args), public_quad(f, a, b, args)[0]
+        # scipy passes args; the helper takes an argument-free integrand
+        got, want = quad(lambda t: f(t, *args), a, b), public_quad(f, a, b, args)[0]
         assert type(got) is float and got.hex() == want.hex()
 
     def test_roundoff_gives_the_value_without_a_warning(self):
@@ -1341,7 +1417,7 @@ class TestScipyExtensions:
         assert "Roundoff" in want[-1]  # QUADPACK flagged this one
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = quad(edge_integrand, 0.0, math.inf, (5.999999,))
+            got = quad(lambda t: edge_integrand(t, 5.999999), 0.0, math.inf)
         assert got.hex() == want[0].hex()
 
     def test_integrand_exception_keeps_its_type(self):
@@ -1434,7 +1510,7 @@ class TestScipyExtensions:
             monkeypatch.setattr(sys.modules[package], child, sys.modules[name])
             monkeypatch.delitem(sys.modules, name)
         f, a, b, args = self.CASES[2]
-        assert _optim.quad(f, a, b, args).hex() == public_quad(f, a, b, args)[0].hex()
+        assert _optim.quad(lambda t: f(t, *args), a, b).hex() == public_quad(f, a, b, args)[0].hex()
         assert _optim.brentq(lpp_crossing, 1e-9, 60.0).hex() == (
             optimize.brentq(lpp_crossing, 1e-9, 60.0).hex())
         assert imported == [QUADPACK, BRENTQ]
@@ -1463,11 +1539,13 @@ from polymoment import _optim
 def f(t, p):
     return math.exp(p * math.log1p(t) - t)
 
+def g(t):
+    return f(t, 2.5)
+
 def h(x):
     return x * x - 2.0
 
-before = [_optim.quad(f, 0.0, 1.7, (2.5,)), _optim.quad(f, 50.0, math.inf, (2.5,)),
-          _optim.brentq(h, 0.0, 2.0)]
+before = [_optim.quad(g, 0.0, 1.7), _optim.quad(g, 50.0, math.inf), _optim.brentq(h, 0.0, 2.0)]
 assert "scipy.integrate" not in sys.modules and "scipy.optimize" not in sys.modules
 import scipy.integrate
 import scipy.optimize
@@ -1479,8 +1557,7 @@ assert _optim._extension("scipy.integrate._quadpack") is quadpack
 assert _optim._extension("scipy.optimize._zeros") is zeros
 public = [scipy.integrate.quad(f, a, b, args=(2.5,), epsabs=0.0, epsrel=1e-11, limit=400)[0]
           for a, b in ((0.0, 1.7), (50.0, math.inf))] + [scipy.optimize.brentq(h, 0.0, 2.0)]
-after = [_optim.quad(f, 0.0, 1.7, (2.5,)), _optim.quad(f, 50.0, math.inf, (2.5,)),
-         _optim.brentq(h, 0.0, 2.0)]
+after = [_optim.quad(g, 0.0, 1.7), _optim.quad(g, 50.0, math.inf), _optim.brentq(h, 0.0, 2.0)]
 assert [x.hex() for x in before] == [x.hex() for x in public] == [x.hex() for x in after]
 """
 
@@ -1550,7 +1627,6 @@ class TestEnvelopeCache:
     def test_repeated_call_returns_the_same_envelope(self):
         env = natural_envelope(ParetoPower(7.0, centered=True), "martingale", points=17)
         assert natural_envelope(ParetoPower(7.0, centered=True), "martingale", points=17) is env
-        assert natural_envelope(ParetoPower(7.0, centered=True), "martingale", p_grid=env.p_grid) is env
 
 
 def record_survival_quad(monkeypatch):
