@@ -31,7 +31,6 @@ from .envelope import (
     MomentEnvelope,
     PowerSingularity,
     Product,
-    SlowlyVarying,
     SupportInterval,
     Tabulated,
 )
@@ -495,43 +494,29 @@ def polynomial_dominant_envelope(
 ) -> Tabulated:
     """Dominant-term moment envelope for an arbitrary centered polynomial.
 
-    ``tail_params`` lists per-factor tail descriptors ``(r, gamma)`` or
-    ``(r, gamma, L)`` for inputs with regular-variation tails
-    ``x^(-r) (log x)^gamma L(log x)``.  For a degree-``d`` polynomial of
-    common independent such variables, the worst contribution comes from the
-    d-th power of a variable with the smallest tail index ``r_min``, giving
+    ``tail_params`` lists per-factor tail descriptors ``(r, gamma)`` for
+    inputs with regular-variation tails ``x^(-r) (log x)^gamma``.  For a
+    degree-``d`` polynomial of common independent such variables, the worst
+    contribution comes from the d-th power of a variable with the smallest
+    tail index ``r_min``, giving
 
         rho_d(p)^p  proportional to  (r_min/d - p)^(-(gamma_bar + 1))
-                                     * L_bar(1/(r_min/d - p))
 
-    on ``[1, r_min/d)``, where ``gamma_bar`` and ``L_bar`` maximise over the
-    factors attaining ``r_min``.  The multiplicative constant is unspecified
-    by the underlying inequality and defaults to 1 (shape-only bound).
+    on ``[1, r_min/d)``, where ``gamma_bar`` maximises over the factors
+    attaining ``r_min``.  The multiplicative constant is unspecified by the
+    underlying inequality and defaults to 1 (shape-only bound).
     """
     if d < 1:
         raise ValueError("polynomial degree must be >= 1")
     if len(tail_params) == 0:
         raise ValueError("at least one tail descriptor required")
-    parsed = []
-    for tp in tail_params:
-        if len(tp) == 2:
-            r, gamma = tp
-            L = SlowlyVarying.constant(1.0)
-        else:
-            r, gamma, L = tp
-        parsed.append((float(r), float(gamma), L))
-    r_min = min(r for r, _, _ in parsed)
+    parsed = [(float(r), float(gamma)) for r, gamma in tail_params]
+    r_min = min(r for r, _ in parsed)
     if not (r_min > d):
         raise ValueError(
             f"smallest tail index {r_min} must exceed the degree {d} for a finite bound"
         )
-    at_rmin = [t for t in parsed if math.isclose(t[0], r_min, rel_tol=1e-12)]
-    gamma_bar = max(g for _, g, _ in at_rmin)
-    at_gamma = [t for t in at_rmin if math.isclose(t[1], gamma_bar, rel_tol=1e-12, abs_tol=1e-12)]
-    slow_fns = [L for _, _, L in at_gamma]
-
-    def L_bar(z: float) -> float:
-        return max(L(z) for L in slow_fns)
+    gamma_bar = max(g for r, g in parsed if math.isclose(r, r_min, rel_tol=1e-12))
 
     upper = r_min / d
     if p_grid is None:
@@ -543,7 +528,7 @@ def polynomial_dominant_envelope(
 
     def rho(p: float) -> float:
         gap = upper - p
-        moment_bound = scale * gap ** (-(gamma_bar + 1.0)) * L_bar(1.0 / gap)
+        moment_bound = scale * gap ** (-(gamma_bar + 1.0))
         return moment_bound ** (1.0 / p)
 
     vals = np.array([rho(float(p)) for p in grid])
@@ -584,7 +569,6 @@ def good_lambda_envelope(
     psi: MomentEnvelope,
     beta: float,
     epsilon: float,
-    comparison_constant: float = 1.0,
 ) -> MomentEnvelope:
     """Envelope correction from a good-lambda distributional comparison.
 
@@ -592,8 +576,9 @@ def good_lambda_envelope(
     parameters ``beta > 1`` and ``epsilon in (0, 1)`` satisfy a moment-norm
     comparison up to the envelope ``psi(p) * (r - p)^(-1/r)`` with
     ``r = |log epsilon / log beta|``.  The comparison constant is not pinned
-    down by the inequality; ``comparison_constant`` scales the returned
-    envelope (default 1).  Requires ``r > 1``.
+    down by the inequality and is taken as 1; wrap the result in
+    :class:`~polymoment.envelope.Scaled` for another constant.  Requires
+    ``r > 1``.
     """
     beta = float(beta)
     epsilon = float(epsilon)
@@ -604,7 +589,5 @@ def good_lambda_envelope(
     r = abs(math.log(epsilon) / math.log(beta))
     if not (r > 1.0):
         raise ValueError(f"derived exponent r={r:.6g} must exceed 1")
-    correction = PowerSingularity(
-        r=r, power=1.0 / r, scale=comparison_constant, lower=psi.support.lower
-    )
+    correction = PowerSingularity(r=r, power=1.0 / r, lower=psi.support.lower)
     return Product((psi, correction))

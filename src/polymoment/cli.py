@@ -283,14 +283,15 @@ def _run_scenario(args, simulate: bool) -> int:
         plan_cfg["seed"] = args.seed
     if args.reps is not None:
         plan_cfg["replications"] = args.reps
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("POLYMOMENT_THREADS", "1")
+    # thread count: --threads, then POLYMOMENT_THREADS, then plan.threads, then 1
+    env = os.environ.get("POLYMOMENT_THREADS")
+    if args.threads is not None:
+        plan_cfg["threads"] = args.threads
+    elif env is not None:
         try:
-            threads = int(env)
+            plan_cfg["threads"] = int(env)
         except ValueError:
             raise ConfigError(f"POLYMOMENT_THREADS must be an integer, got {env!r}") from None
-    plan_cfg["threads"] = threads
     plan = plan_from_config(plan_cfg, model)
 
     report = doob_experiment(plan) if plan.experiment == "doob" else run_experiment(plan)
@@ -384,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_run.add_argument("--scenario", help="bundled scenario name")
         p_run.add_argument("--seed", type=int)
         p_run.add_argument("--reps", type=int)
-        p_run.add_argument("--threads", type=int, help="worker threads (default: POLYMOMENT_THREADS or 1)")
+        p_run.add_argument("--threads", type=int, help="worker threads (default: POLYMOMENT_THREADS, plan.threads, 1)")
         p_run.add_argument("--out", help="output prefix for report JSON/CSV")
         p_run.set_defaults(func=functools.partial(_run_scenario, simulate=name == "simulate"))
 

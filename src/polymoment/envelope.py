@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._optim import chebyshev_grid, quad
+from ._optim import quad
 
 __all__ = [
     "EnvelopeDomainError",
@@ -61,6 +61,8 @@ __all__ = [
 ]
 
 _E = math.e
+# relative truncation bias allowed in moments_from_tail's regular-variation remainder
+TAIL_MOMENT_REL_TOL = 1e-9
 
 
 class EnvelopeDomainError(ValueError):
@@ -420,31 +422,10 @@ def tabulate_envelope(
     return Tabulated(ps, vals, upper=upper, upper_closed=upper_closed)
 
 
-def default_norm_grid(env: MomentEnvelope, points: int = 65) -> np.ndarray:
-    """Default exponent grid for :func:`gls_norm`.
-
-    Starts at 2 (the classical moment-norm convention) unless the support
-    forces a higher start; ends just inside an open upper endpoint.
-    """
-    sup = env.support
-    lo = max(2.0, sup.lower)
-    if math.isinf(sup.upper):
-        hi = max(32.0, 4.0 * lo)
-    elif sup.upper_closed:
-        hi = sup.upper
-    else:
-        hi = sup.lower + 0.999 * (sup.upper - sup.lower)
-    if hi <= lo:
-        lo = sup.lower
-    if hi <= lo:
-        raise EnvelopeDomainError("support too narrow for a default norm grid")
-    return chebyshev_grid(lo, hi, points)
-
-
 def gls_norm(
     moments: Callable[[float], float],
     env: MomentEnvelope,
-    p_grid: Optional[Sequence[float]] = None,
+    p_grid: Sequence[float],
 ) -> float:
     """Grid moment norm ``max_p moments(p) / nu(p)``.
 
@@ -452,10 +433,7 @@ def gls_norm(
     increase the result.  ``moments`` must return finite p-th norms on the
     grid and every grid point must lie inside the envelope support.
     """
-    if p_grid is None:
-        grid = default_norm_grid(env)
-    else:
-        grid = np.asarray(p_grid, dtype=float)
+    grid = np.asarray(p_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty exponent grid")
     best = 0.0
@@ -630,13 +608,14 @@ def _rv_tail_remainder(tail: RegularVariationTail, p: float, x_from: float) -> f
     return p * tail.scale * val
 
 
-def moments_from_tail(tail, p: float, rel_tol: float = 1e-9) -> float:
+def moments_from_tail(tail, p: float) -> float:
     """p-th norm recovered from a tail function by quadrature.
 
     Integrates ``p * u^(p-1) * T(u)`` over ``[0, inf)`` and returns the p-th
     root.  For regular-variation tails the integral is truncated at an
     adaptively chosen point and completed with an exact log-substituted
-    remainder so the truncation bias stays below ``rel_tol`` of the total.
+    remainder so the truncation bias stays below ``TAIL_MOMENT_REL_TOL``
+    (1e-9) of the total.
 
     Raises :class:`InfiniteMomentError` when the integral provably diverges
     (the integrand does not decay faster than ``u^(-1)``).
@@ -690,7 +669,7 @@ def moments_from_tail(tail, p: float, rel_tol: float = 1e-9) -> float:
         while True:
             total += quad(f, prev, x_max)
             rem = _rv_tail_remainder(tail, p, x_max)
-            if rem <= rel_tol * max(total + rem, 1e-300) or x_max > 1e280:
+            if rem <= TAIL_MOMENT_REL_TOL * max(total + rem, 1e-300) or x_max > 1e280:
                 total += rem
                 break
             prev = x_max

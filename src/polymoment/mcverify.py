@@ -410,6 +410,10 @@ def brute_force_moments(model: PolynomialModel, p_list: Sequence[float]) -> np.n
     return np.array([float(np.sum(probs * aq ** float(p))) for p in p_list])
 
 
+# convergence_diagnostics flags drift above this log-log slope of estimate on count
+DRIFT_SLOPE = 0.08
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
     p: float
@@ -425,13 +429,12 @@ def convergence_diagnostics(
     p: float,
     schedule: Sequence[int],
     seed: int = 0,
-    slope_threshold: float = 0.08,
 ) -> ConvergenceReport:
     """Empirical |Q|_p along nested prefixes of an increasing replication schedule.
 
     Heavy-tail moment explosion shows up as systematic growth of the estimate
     with the sample size; the report flags drift when the log-log regression
-    slope of estimate against count exceeds ``slope_threshold`` and the total
+    slope of estimate against count exceeds ``DRIFT_SLOPE`` (0.08) and the total
     movement exceeds twice the final error bar.
     """
     schedule = [int(s) for s in schedule]
@@ -463,7 +466,7 @@ def convergence_diagnostics(
     logs_v = np.log(np.maximum(np.array(estimates), 1e-300))
     slope = float(np.polyfit(logs_n, logs_v, 1)[0])
     moved = estimates[-1] - estimates[0] > 2.0 * stderrs[-1]
-    drifting = bool(slope > slope_threshold and moved)
+    drifting = bool(slope > DRIFT_SLOPE and moved)
     return ConvergenceReport(
         p, tuple(schedule), tuple(estimates), tuple(stderrs), slope, drifting
     )

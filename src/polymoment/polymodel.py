@@ -82,8 +82,7 @@ IndexTuple = Tuple[int, ...]
 SHARING_MODES = ("none", "vectors", "all")
 
 # past-measurable modulator w = 1 + 0.5 * (running sign average) stays in
-# [MODULATOR_LOW, MODULATOR_HIGH]; the high end scales the bound envelopes
-MODULATOR_LOW = 0.5
+# [0.5, MODULATOR_HIGH]; the high end scales the bound envelopes
 MODULATOR_HIGH = 1.5
 
 _SYMMETRIZED_TAGS = (MARTINGALE, VECTOR_INDEPENDENT)
@@ -346,30 +345,31 @@ class InfiniteMomentQuadError(OverflowError):
     pass
 
 
+# stratified_moment integrates this top share of the survival-uniform range exactly
+STRATIFIED_TOP_FRACTION = 1e-3
+
+
 def stratified_moment(
     dist: InputDistribution,
     p: float,
     replications: int,
     seed: int,
-    top_fraction: float = 1e-3,
 ) -> MomentEstimate:
     """Variance-reduced estimate of the p-th norm of a raw input variable.
 
-    The top ``top_fraction`` of the survival-uniform range, which can carry
-    most of a heavy moment and all of the estimator variance, is integrated
-    exactly through the closed-form quantile; Monte Carlo covers only the
-    bounded remainder, so batch-means error bars are trustworthy even for
-    orders close to the moment boundary.  The body uses about
+    The top ``STRATIFIED_TOP_FRACTION`` (1e-3) of the survival-uniform range,
+    which can carry most of a heavy moment and all of the estimator variance,
+    is integrated exactly through the closed-form quantile; Monte Carlo covers
+    only the bounded remainder, so batch-means error bars are trustworthy even
+    for orders close to the moment boundary.  The body uses about
     sqrt(replications) batches; with fewer than two the stderr is 0.
     """
     p = float(p)
     if p >= dist.moment_boundary:
         raise ValueError(f"moment of order {p} diverges for {dist}")
-    if not (0.0 < top_fraction < 1.0):
-        raise ValueError("top_fraction must lie in (0, 1)")
     if replications < 1:
         raise ValueError(f"need at least one replication, got {replications}")
-    delta = top_fraction
+    delta = STRATIFIED_TOP_FRACTION
     exact_tail = float(_survival_quad(dist, [p], u_max=delta)[0])
     gen = _stream(seed, 0)
     u = delta + (1.0 - delta) * gen.random(replications)
@@ -1346,7 +1346,8 @@ def dist_from_config(cfg: dict, where: str = "distribution") -> InputDistributio
 
 
 def _tensor_to_config(tensor: CoefficientTensor) -> dict:
-    if tensor.is_uniform:
+    # "uniform" rebuilds 1/sqrt(C(n, d)) entries: only that exact tensor may say so
+    if tensor == CoefficientTensor.uniform(tensor.d, tensor.n):
         return {"kind": "uniform"}
     if len(tensor.entries) == 1:
         (I, v), = tensor.entries.items()

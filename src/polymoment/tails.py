@@ -212,16 +212,15 @@ class ConjugateTail(TailBound):
 def regular_variation_tail(
     r: float,
     gamma: float,
-    slowvar: Optional[SlowlyVarying] = None,
-    x: float = None,
-    scale: float = 1.0,
+    slowvar: Optional[SlowlyVarying],
+    x: float,
 ) -> float:
     """Closed-form tail for an envelope with a regular-variation singularity.
 
     When the p-th moments grow like ``(r - p)^(-(gamma+1)) L(1/(r-p))``, the
-    conjugate tail is of order ``x^(-r) (log x)^(gamma+1) L(log x)``.  The
-    multiplicative constant is not determined by the moment bound and
-    defaults to 1.  Defined for x > e only.
+    conjugate tail is of order ``x^(-r) (log x)^(gamma+1) L(log x)``; a
+    ``slowvar`` of None means ``L = 1``.  The multiplicative constant is not
+    determined by the moment bound and is taken as 1.  Defined for x > e only.
     """
     x = float(x)
     if x <= _E:
@@ -229,7 +228,7 @@ def regular_variation_tail(
     if slowvar is None:
         slowvar = SlowlyVarying.constant(1.0)
     lx = math.log(x)
-    v = scale * x ** (-r) * lx ** (gamma + 1.0) * slowvar(lx)
+    v = x ** (-r) * lx ** (gamma + 1.0) * slowvar(lx)
     return min(1.0, max(0.0, v))
 
 

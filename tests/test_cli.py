@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from polymoment.cli import main
+from polymoment.cli import load_config, main
 
 
 def run_cli(capsys, *argv):
@@ -281,6 +281,23 @@ class TestVerifyCommand:
         )
         doc = json.loads((tmp_path / "thr.json").read_text())
         assert doc["metadata"]["threads"] == 1
+        # with neither flag nor variable the config's plan.threads holds;
+        # either of them overrides it
+        cfg = load_config(None, "pareto_d2_common")
+        cfg["plan"] = dict(cfg["plan"], threads=2)
+        path = tmp_path / "thr_cfg.json"
+        path.write_text(json.dumps(cfg))
+        for env, flag, want in ((None, (), 2), ("1", (), 1), (None, ("--threads", "3"), 3)):
+            if env is None:
+                monkeypatch.delenv("POLYMOMENT_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("POLYMOMENT_THREADS", env)
+            code, _, _ = run_cli(
+                capsys, "verify", "--config", str(path), "--reps", "2000", *flag, "--out", prefix,
+            )
+            assert code == 0
+            doc = json.loads((tmp_path / "thr.json").read_text())
+            assert doc["metadata"]["threads"] == want
 
 
 _SCIPY_FREE_CHECK = """

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -21,7 +22,14 @@ from polymoment import (
     variance_of_Q,
 )
 from polymoment.mcverify import auto_p_grid, plan_from_config, plan_to_config
+from polymoment.cli import load_config
 from polymoment.polymodel import ConfigError, model_from_config
+
+BUNDLED = sorted(
+    p.name[: -len(".json")]
+    for p in resources.files("polymoment").joinpath("scenarios").iterdir()
+    if p.name.endswith(".json")
+)
 
 
 def rademacher_model(d, n, tag="common_independent"):
@@ -77,6 +85,62 @@ class TestBruteForce:
             for j, p in enumerate([1, 2, 3]):
                 want[j] += weight * abs(q) ** p
         assert np.allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("tag, direction, sharing", [
+        ("martingale", "forward", "none"),
+        ("martingale", "reverse", "none"),
+        ("vector_independent", "forward", "none"),
+        ("vector_independent", "reverse", "none"),
+        ("martingale", "forward", "vectors"),
+        ("martingale", "reverse", "all"),
+    ])
+    def test_modulated_regimes_hand_enumeration(self, tag, direction, sharing):
+        # independent walk over every (magnitude, sign) assignment of the
+        # draws, applying the documented modulator 1 + 0.5 * (mean of earlier
+        # signs): one state over all cells for the martingale, one per slot
+        # for vector independence, earlier in reversed time for reverse models
+        two = CustomQuantile(
+            quantile=lambda u: np.where(u <= 0.25, -2.0, 1.0),
+            atom_values=(-2.0, 1.0),
+            atom_probs=(0.25, 0.75),
+            standardized=True,
+        )
+        dists = (two, two) if sharing != "none" else (two, Rademacher())
+        entries = {(1, 2): 0.3, (1, 3): -0.7, (2, 3): 1.1}
+        model = PolynomialModel(
+            2, 3, CoefficientTensor(2, 3, entries), DependenceRegime(tag, direction), dists,
+            sharing=sharing,
+        )
+        ps = [1.0, 2.0, 3.5]
+        got = brute_force_moments(model, ps)
+
+        def options(dist):
+            vals, probs = dist.atoms()
+            scale = math.sqrt(sum(q * v * v for v, q in zip(vals, probs)))
+            return [(s, abs(v) / scale, q / 2) for v, q in zip(vals, probs) for s in (-1.0, 1.0)]
+
+        def key(i, m):
+            return {"none": (i, m), "vectors": (i,), "all": ()}[sharing]
+
+        keys = sorted({key(i, m) for i in range(3) for m in range(2)})
+        times = [2, 1, 0] if direction == "reverse" else [0, 1, 2]
+        want = np.zeros(len(ps))
+        for state in itertools.product(*(options(dists[k[1] if len(k) > 1 else 0]) for k in keys)):
+            draw = dict(zip(keys, state))
+            weight = math.prod(q for _, _, q in state)
+            cell = {}
+            seen = {m: [] for m in range(2)}  # signs of earlier cells, per slot
+            for i in times:
+                for m in range(2):
+                    earlier = seen[m] if tag == "vector_independent" else seen[0] + seen[1]
+                    w = 1.0 + 0.5 * sum(earlier) / len(earlier) if earlier else 1.0
+                    sign, mag, _ = draw[key(i, m)]
+                    cell[i, m] = sign * mag * w
+                for m in range(2):
+                    seen[m].append(draw[key(i, m)][0])
+            q = sum(b * cell[i1 - 1, 0] * cell[i2 - 1, 1] for (i1, i2), b in entries.items())
+            want += weight * np.abs(q) ** np.array(ps)
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
 
     def test_variance_consistency(self):
         model = rademacher_model(2, 3)
@@ -312,6 +376,18 @@ class TestReports:
         plan = plan_from_config(report.config["plan"], model)
         rerun = run_experiment(plan)
         assert rerun.result_payload() == report.result_payload()
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_plan_config_roundtrip(self, name):
+        # a report's plan config, read back, writes the same config again
+        cfg = load_config(None, name)
+        model = model_from_config(cfg["model"])
+        once = plan_to_config(plan_from_config(cfg["plan"], model))
+        twice = plan_to_config(plan_from_config(json.loads(json.dumps(once)), model))
+        assert json.dumps(twice) == json.dumps(once)
+        for key, value in cfg["plan"].items():
+            if key != "p_grid" or isinstance(value, list):
+                assert once[key] == value, key
 
     def test_bound_object_is_not_embedded_as_a_recipe(self):
         # a chain on the plan's own grid differs from the recipe's default

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import warnings
@@ -470,6 +471,47 @@ class TestSerialization:
         cfg = model_to_config(model)
         back = model_from_config(cfg)
         assert back == model
+
+    def test_config_rebuilds_the_model(self):
+        # a report embeds model_to_config, so its config must rebuild the very
+        # model that ran: "uniform" only for 1/sqrt(C(n, d)) entries, not for
+        # every tensor whose entries are equal
+        dists = [ParetoPower(6.0, centered=True), ParetoPower(8.0, centered=True)]
+        ones = CoefficientTensor(2, 3, dict.fromkeys(enumerate_indices(2, 3), 1.0))
+        normed = normalize_model(common_model(2, 3, dists))
+        assert len(set(normed.coefficients.entries.values())) == 1
+        dist_cfg = [{"kind": "pareto_power", "r1": 6.0}, {"kind": "pareto_power", "r1": 8.0}]
+
+        def from_cfg(coefficients, distributions=dist_cfg):
+            return model_from_config(
+                {"d": 2, "n": 3, "coefficients": coefficients, "distributions": distributions}
+            )
+
+        cases = {
+            "uniform": (common_model(2, 3, dists), "uniform"),
+            "ones": (common_model(2, 3, dists, tensor=ones), "entries"),
+            "normalized": (normed, "entries"),
+            "single_default": (from_cfg({"kind": "single"}), "single"),
+            "single_index": (from_cfg({"kind": "single", "index": [2, 3]}), "single"),
+            "entries": (from_cfg({"kind": "entries", "entries": [[[1, 2], 0.5], [[2, 3], -1.5]]}),
+                        "entries"),
+            "multiplicities": (
+                common_model(2, 5, [Rademacher()], multiplicities=(2,),
+                             tensor=CoefficientTensor.uniform(1, 5)),
+                "uniform",
+            ),
+            "slowvar_null": (
+                from_cfg({}, [{"kind": "log_perturbed_pareto", "r": 4.0, "kappa": 0.5,
+                               "slowvar": None}] * 2),
+                "uniform",
+            ),
+        }
+        assert cases["single_default"][0].coefficients.entries == {(1, 2): 1.0}
+        assert cases["single_index"][0].coefficients.entries == {(2, 3): 1.0}
+        for name, (model, kind) in cases.items():
+            cfg = model_to_config(model)
+            assert cfg["coefficients"]["kind"] == kind, name
+            assert model_from_config(json.loads(json.dumps(cfg))) == model, name
 
     def test_unknown_keys_rejected(self):
         cfg = model_to_config(common_model(2, 3, [Rademacher(), Rademacher()]))
