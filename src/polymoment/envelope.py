@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,11 +59,6 @@ __all__ = [
     "MomentEstimate",
     "tabulate_envelope",
 ]
-
-_E = math.e
-# relative truncation bias allowed in moments_from_tail's regular-variation remainder
-TAIL_MOMENT_REL_TOL = 1e-9
-
 
 class EnvelopeDomainError(ValueError):
     """Raised for evaluation requests outside the legal exponent domain."""
@@ -472,11 +467,18 @@ def natural_moments_pareto_power(r1: float, p: float) -> float:
 class TailBound:
     """Base class for computable upper tail functions ``x -> P(|xi| >= x)``.
 
-    Evaluations are clamped to [0, 1].
+    A subclass gives ``_raw(x)`` or ``log_tail(log x)``; each defaults to the
+    other.  Evaluations are clamped to [0, 1].
     """
 
-    def _raw(self, x: float) -> float:  # pragma: no cover - overridden
-        raise NotImplementedError
+    def _raw(self, x: float) -> float:
+        return math.exp(self.log_tail(math.log(x))) if x > 0.0 else 1.0
+
+    def log_tail(self, s: float) -> float:
+        """``log T(e^s)``, -inf where it is 0: from ``T(e^s)``, which underflows,
+        unless the subclass has a log form."""
+        t = self(math.exp(s)) if s < 709.0 else 0.0
+        return math.log(t) if t > 0.0 else -math.inf
 
     def __call__(self, x: float) -> float:
         v = self._raw(float(x))
@@ -487,24 +489,21 @@ class TailBound:
 
 @dataclass(frozen=True)
 class RegularVariationTail(TailBound):
-    """``scale * x^(-r) * (log x)^gamma * L(log x)`` clamped to [0, 1].
+    """``x^(-r) * (log x)^gamma * L(log x)`` clamped to [0, 1].
 
     The formula is meaningful for x > e; below e the clamp keeps the bound
     vacuous where the log factor would misbehave, and x <= 1 always maps
     to 1.  With ``gamma = 0`` and constant L this is the exact Pareto tail
-    ``min(1, scale * x^-r)``.
+    ``min(1, x^-r)``.  There is no scale: multiply the tail for another.
     """
 
     r: float = 2.0
     gamma: float = 0.0
     slowvar: SlowlyVarying = SlowlyVarying.constant(1.0)
-    scale: float = 1.0
 
     def __post_init__(self):
         if not (self.r > 0):
             raise ValueError("tail index must be positive")
-        if not (self.scale > 0):
-            raise ValueError("scale must be positive")
 
     @property
     def pareto_index(self) -> float:
@@ -514,7 +513,12 @@ class RegularVariationTail(TailBound):
         if x <= 1.0:
             return 1.0
         lx = math.log(x)
-        return self.scale * x ** (-self.r) * lx ** self.gamma * self.slowvar(lx)
+        return x ** (-self.r) * lx ** self.gamma * self.slowvar(lx)
+
+    def log_tail(self, s: float) -> float:
+        if s <= 0.0:
+            return 0.0
+        return min(0.0, -self.r * s + self.gamma * math.log(s) + math.log(self.slowvar(s)))
 
 
 @dataclass(frozen=True)
@@ -532,10 +536,9 @@ class WeibullTail(TailBound):
     def pareto_index(self) -> float:
         return math.inf
 
-    def _raw(self, x: float) -> float:
-        if x <= 0.0:
-            return 1.0
-        return math.exp(-self.c * x ** self.alpha)
+    def log_tail(self, s: float) -> float:
+        log_rate = math.log(self.c) + self.alpha * s
+        return -math.exp(log_rate) if log_rate < 709.0 else -math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -576,46 +579,28 @@ class TabulatedTail(TailBound):
         )
         return max(-slope, 0.0)
 
-    def _raw(self, x: float) -> float:
+    def log_tail(self, s: float) -> float:
         xs, vals = self.x_grid, self.values
-        if x <= xs[0]:
-            return 1.0
-        if x >= xs[-1]:
-            if vals[-1] == 0.0:
-                return 0.0
+        if s <= math.log(xs[0]):
+            return 0.0
+        if s >= math.log(xs[-1]):
             idx = self.pareto_index
-            if math.isinf(idx):
-                return 0.0
-            return float(vals[-1]) * (x / xs[-1]) ** (-idx)
+            if vals[-1] == 0.0 or math.isinf(idx):
+                return -math.inf
+            return math.log(vals[-1]) - idx * (s - math.log(xs[-1]))
         with np.errstate(divide="ignore"):
             logv = np.where(vals > 0, np.log(np.maximum(vals, 1e-300)), -math.inf)
-        out = np.interp(math.log(x), np.log(xs), logv)
-        return 0.0 if out == -math.inf else float(math.exp(out))
-
-
-def _rv_tail_remainder(tail: RegularVariationTail, p: float, x_from: float) -> float:
-    """Exact remainder integral of ``p u^(p-1) T(u)`` on ``[x_from, inf)``.
-
-    Uses the substitution t = log u, turning the heavy-tail integrand into an
-    exponentially decaying one that adaptive quadrature handles well.
-    """
-    r, gamma = tail.r, tail.gamma
-
-    def g(t: float) -> float:
-        return math.exp((p - r) * t) * t ** gamma * tail.slowvar(t)
-
-    val = quad(g, math.log(x_from), math.inf)
-    return p * tail.scale * val
+        return float(np.interp(s, np.log(xs), logv))
 
 
 def moments_from_tail(tail, p: float) -> float:
     """p-th norm recovered from a tail function by quadrature.
 
-    Integrates ``p * u^(p-1) * T(u)`` over ``[0, inf)`` and returns the p-th
-    root.  For regular-variation tails the integral is truncated at an
-    adaptively chosen point and completed with an exact log-substituted
-    remainder so the truncation bias stays below ``TAIL_MOMENT_REL_TOL``
-    (1e-9) of the total.
+    ``E|xi|^p`` is ``int_0^inf p u^(p-1) T(u) du``, taken as two integrals:
+    over ``u`` in [0, 1], and over ``s = log u`` in [0, inf) of
+    ``p exp(p s + log T(e^s))``, assembled in log space.  A tail with a log
+    form (:meth:`TailBound.log_tail`) never underflows there, so moments up
+    to its tail index keep all their mass.
 
     Raises :class:`InfiniteMomentError` when the integral provably diverges
     (the integrand does not decay faster than ``u^(-1)``).
@@ -647,39 +632,26 @@ def moments_from_tail(tail, p: float) -> float:
                     f"moment of order {p} diverges: empirical tail decay index {-slope:.4f}"
                 )
 
-    def f(u: float) -> float:
+    def below_one(u: float) -> float:
         t = float(tail(u))
-        if t <= 0.0:
+        return p * u ** (p - 1.0) * t if t > 0.0 else 0.0
+
+    # a plain callable takes the generic log form
+    log_tail = tail.log_tail if isinstance(tail, TailBound) else partial(TailBound.log_tail, tail)
+    log_p = math.log(p)
+
+    def above_one(s: float) -> float:
+        log_t = log_tail(s)
+        if log_t == -math.inf:
             return 0.0
-        if u <= 0.0:
-            return p * t if p == 1.0 else 0.0
-        # assemble in log space: u^(p-1) alone can overflow where the full
-        # integrand is still tiny
-        log_term = (p - 1.0) * math.log(u) + math.log(t)
+        log_term = log_p + p * s + log_t
         if log_term > 700.0:
             raise InfiniteMomentError(
-                f"integrand overflows at u={u:.3g}; the moment of order {p} diverges"
+                f"integrand overflows at u=e^{s:.4g}; the moment of order {p} diverges"
             )
-        return p * math.exp(log_term)
+        return math.exp(log_term)
 
-    total = quad(f, 0.0, 1.0) + quad(f, 1.0, _E)
-    if isinstance(tail, RegularVariationTail):
-        x_max = 10.0 * _E
-        prev = _E
-        while True:
-            total += quad(f, prev, x_max)
-            rem = _rv_tail_remainder(tail, p, x_max)
-            if rem <= TAIL_MOMENT_REL_TOL * max(total + rem, 1e-300) or x_max > 1e280:
-                total += rem
-                break
-            prev = x_max
-            x_max *= 4.0
-    else:
-        total += quad(f, _E, math.inf)
-
-    if total < 0.0:
-        total = 0.0
-    return total ** (1.0 / p)
+    return (quad(below_one, 0.0, 1.0) + quad(above_one, 0.0, math.inf)) ** (1.0 / p)
 
 
 class MomentEstimate(NamedTuple):

@@ -621,10 +621,13 @@ def cell_loc_scale(dist: InputDistribution, symmetrized: bool) -> Tuple[float, f
 
 
 def cell_sigma(dist: InputDistribution, symmetrized: bool) -> float:
-    """Standard deviation of the sampled cell (modulator excluded)."""
-    loc, scale = cell_loc_scale(dist, symmetrized)
-    m2 = dist.raw_abs_moment(2.0) if symmetrized else dist.signed_moment(2)
-    return math.inf if math.isinf(m2) else math.sqrt(m2 - loc * loc) / scale
+    """Standard deviation of the sampled cell (modulator excluded).
+
+    A symmetrised cell has mean 0; any other cell has the input's variance.
+    """
+    _, scale = cell_loc_scale(dist, symmetrized)
+    var = dist.raw_abs_moment(2.0) if symmetrized else dist.variance()
+    return math.inf if math.isinf(var) else math.sqrt(var) / scale
 
 
 def cell_abs_moment(dist: InputDistribution, ps: Sequence[float], symmetrized: bool) -> np.ndarray:
@@ -797,15 +800,22 @@ class PolynomialModel:
         return combined_exponent(uppers)
 
     def sigma_matrix(self) -> np.ndarray:
-        """Per-cell standard deviations, shape (n, slots).
+        """Per-cell standard deviations, shape (n, slots), for :func:`variance_of_Q`.
 
-        Only defined for regimes without history-dependent modulators.
+        Defined only where its variance identity holds: a multilinear model
+        (no ``multiplicities``) in a regime without history-dependent
+        modulators, whose cells all have mean 0.  Anything else raises
+        ``ValueError``.
         """
         if _is_symmetrized(self.regime.tag):
             raise ValueError(
                 "modulated regimes have history-dependent cell variances;"
                 " the static variance identity does not apply"
             )
+        if self.multiplicities is not None:
+            raise ValueError("the static variance identity needs a multilinear model")
+        if any(not d_.centered and d_.mean() != 0.0 for d_ in self.distributions):
+            raise ValueError("cells with a nonzero mean break the static variance identity")
         sig = np.array(
             [cell_sigma(d_, False) for d_ in self.distributions], dtype=float
         )

@@ -29,6 +29,7 @@ from ._optim import bracketed_min, chebyshev_grid, golden_min
 from .envelope import (
     EnvelopeDomainError,
     MomentEnvelope,
+    RegularVariationTail,
     SlowlyVarying,
     TailBound,
 )
@@ -113,14 +114,13 @@ class ConjugateSpec:
         return math.log(v) + math.log(self.norm_factor)
 
 
-def _optimal_exponent(spec: ConjugateSpec, x: float) -> float:
-    """Exponent minimising ``p (log k nu(p) - log x)`` over the supplied range.
+def _optimal_exponent(spec: ConjugateSpec, logx: float) -> float:
+    """Exponent minimising ``p (log k nu(p) - logx)`` over the supplied range.
 
     Grid scan and golden polish (:func:`bracketed_min`), plus an expanding
     search above the grid when the scan's first minimum is its top point and
     the envelope remains finite there (growth envelopes at large x).
     """
-    logx = math.log(x)
     grid = spec.p_grid
     obj_grid = grid * (spec._log_knu - logx)
 
@@ -164,10 +164,13 @@ def log_tail_from_envelope(spec: ConjugateSpec, x: float) -> float:
     growth envelopes at large thresholds.
     """
     x = float(x)
-    if x <= _E:
-        return 0.0
-    p_star = _optimal_exponent(spec, x)
-    return min(0.0, p_star * (spec.log_knu(p_star) - math.log(x)))
+    return _log_tail(spec, math.log(x)) if x > _E else 0.0
+
+
+def _log_tail(spec: ConjugateSpec, logx: float) -> float:
+    """:func:`log_tail_from_envelope` at ``x = e^logx > e``, also where x overflows a float."""
+    p_star = _optimal_exponent(spec, logx)
+    return min(0.0, p_star * (spec.log_knu(p_star) - logx))
 
 
 def tail_from_envelope(spec: ConjugateSpec, x: float) -> float:
@@ -189,7 +192,7 @@ def tail_inf_form(spec: ConjugateSpec, x: float) -> float:
     x = float(x)
     if x <= _E:
         return 1.0
-    p_star = _optimal_exponent(spec, x)
+    p_star = _optimal_exponent(spec, math.log(x))
     knu = spec.norm_factor * spec.envelope(p_star)
     return min(1.0, (knu / x) ** p_star)
 
@@ -208,6 +211,9 @@ class ConjugateTail(TailBound):
     def _raw(self, x: float) -> float:
         return tail_from_envelope(self.spec, x)
 
+    def log_tail(self, s: float) -> float:
+        return _log_tail(self.spec, s) if s > 1.0 else 0.0
+
 
 def regular_variation_tail(
     r: float,
@@ -218,18 +224,15 @@ def regular_variation_tail(
     """Closed-form tail for an envelope with a regular-variation singularity.
 
     When the p-th moments grow like ``(r - p)^(-(gamma+1)) L(1/(r-p))``, the
-    conjugate tail is of order ``x^(-r) (log x)^(gamma+1) L(log x)``; a
-    ``slowvar`` of None means ``L = 1``.  The multiplicative constant is not
-    determined by the moment bound and is taken as 1.  Defined for x > e only.
+    conjugate tail is of order ``x^(-r) (log x)^(gamma+1) L(log x)``, which is
+    ``RegularVariationTail(r, gamma + 1, L)``; a ``slowvar`` of None means
+    ``L = 1``.  The multiplicative constant is not determined by the moment
+    bound and is taken as 1.  Defined for x > e only.
     """
     x = float(x)
     if x <= _E:
         raise ValueError(f"the closed-form tail is defined for x > e, got x={x}")
-    if slowvar is None:
-        slowvar = SlowlyVarying.constant(1.0)
-    lx = math.log(x)
-    v = x ** (-r) * lx ** (gamma + 1.0) * slowvar(lx)
-    return min(1.0, max(0.0, v))
+    return RegularVariationTail(r, gamma + 1.0, slowvar or SlowlyVarying.constant(1.0))(x)
 
 
 _MAX_DOUBLINGS = 200  # bracket doublings before fit_tail_rescale gives up

@@ -244,11 +244,13 @@ class TestParetoPowerMoments:
 
 class TestMomentsFromTail:
     def test_exact_pareto_family(self):
+        # near the tail index the integrand decays like u^(p-1-r) and keeps its
+        # mass far beyond where u^-r underflows: at p = 3.999, past u = 1e280
         tail = RegularVariationTail(r=4, gamma=0)
-        for p in np.arange(1.0, 4.0, 0.5):
+        for p in [*np.arange(1.0, 4.0, 0.5), 3.9, 3.99, 3.999]:
             got = moments_from_tail(tail, float(p))
             want = pareto_norm(4.0, float(p))
-            assert got == pytest.approx(want, rel=1e-6)
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_zero_tail(self):
         assert moments_from_tail(lambda x: 0.0, 2.0) == 0.0
@@ -264,10 +266,25 @@ class TestMomentsFromTail:
             moments_from_tail(tail, 4.5)
 
     def test_boundary_moment_with_integrable_log(self):
-        # at p = r the moment is finite only when the log exponent < -1
+        # at p = r the moment is finite only when the log exponent < -1;
+        # T(e^s) = min(1, e^(-4s) s^(-2.5)) is 1 up to s_c, where 4 s_c + 2.5 log s_c = 0,
+        # so E|xi|^4 = e^(4 s_c) + 4 int_{s_c}^inf s^(-2.5) ds = e^(4 s_c) + (8/3) s_c^(-1.5)
+        lo, hi = 0.01, 1.0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if 4.0 * mid + 2.5 * math.log(mid) < 0.0 else (lo, mid)
+        s_c = 0.5 * (lo + hi)
+        want = (math.exp(4.0 * s_c) + 8.0 / 3.0 * s_c ** -1.5) ** 0.25
         tail = RegularVariationTail(r=4, gamma=-2.5)
-        value = moments_from_tail(tail, 4.0)
-        assert math.isfinite(value) and value > 0
+        assert moments_from_tail(tail, 4.0) == pytest.approx(want, rel=1e-10)
+
+    def test_tabulated_pure_power(self):
+        # a log-grid table of x^-4 is the Pareto tail inside the grid and its
+        # fitted decay beyond it; this takes the generic log T(e^s) path
+        xs = np.logspace(0.0, 3.0, 61)
+        tail = TabulatedTail(xs, xs ** -4.0)
+        for p in (1.0, 2.0, 3.0, 3.5, 3.99, 3.999):
+            assert moments_from_tail(tail, p) == pytest.approx(pareto_norm(4.0, p), rel=1e-9)
 
     def test_quadrature_roundoff_is_not_a_warning(self):
         # QUADPACK reports roundoff near this boundary moment; it is returned,
@@ -330,9 +347,28 @@ class TestTailBounds:
         tail = WeibullTail(c=1.0, alpha=2.0)
         assert tail(0.0) == 1.0
         assert tail(2.0) == pytest.approx(math.exp(-4.0))
+        # x^alpha overflows a float here; the tail is 0, not an OverflowError
+        assert tail(1e200) == 0.0
 
     def test_tabulated_tail_interpolation(self):
         tail = TabulatedTail(np.array([1.0, 10.0, 100.0]), np.array([1.0, 1e-2, 1e-4]))
         assert tail(0.5) == 1.0
         assert tail(10.0) == pytest.approx(1e-2)
         assert 1e-4 < tail(31.6) < 1e-2
+
+    def test_tabulated_tail_beyond_the_grid(self):
+        # the fitted decay from the first to the last point, here x^-2
+        tail = TabulatedTail(np.array([1.0, 10.0, 100.0]), np.array([1.0, 1e-2, 1e-4]))
+        assert tail.pareto_index == pytest.approx(2.0)
+        for x in (100.0, 300.0, 1e4):
+            assert tail(x) == pytest.approx(1e-4 * (x / 100.0) ** -2.0, rel=1e-12)
+
+    def test_tabulated_tail_zero_beyond_the_grid(self):
+        # an empirical tail ending at 0 stays 0
+        ends_at_zero = TabulatedTail(np.array([1.0, 10.0, 100.0]), np.array([1.0, 1e-2, 0.0]))
+        assert ends_at_zero.pareto_index == pytest.approx(2.0)
+        assert ends_at_zero(200.0) == 0.0
+        # with fewer than two positive values there is no decay to fit
+        one_positive = TabulatedTail(np.array([1.0, 10.0]), np.array([0.0, 0.5]))
+        assert one_positive.pareto_index == math.inf
+        assert one_positive(20.0) == 0.0

@@ -254,6 +254,24 @@ class TestSampling:
             se = q.var() * math.sqrt(2.0 / q.size) * 3  # crude but adequate
             assert abs(est_var - want) < max(4 * se, 0.05 * want)
 
+    def test_cell_sigma_is_the_standard_deviation(self):
+        # X = eps^(1/6) has E X = 6/5 and E X^2 = 6/4, so sd^2 = 0.06 (the rms would be 1.5)
+        assert cell_sigma(ParetoPower(6.0), symmetrized=False) == pytest.approx(math.sqrt(0.06))
+
+    def test_sigma_matrix_needs_mean_zero_cells(self):
+        # uncentered cells have cross terms: here the identity would read 2.25,
+        # while the exact Var Q is about 0.29
+        model = common_model(2, 3, [ParetoPower(6.0), ParetoPower(6.0)])
+        with pytest.raises(ValueError, match="nonzero mean"):
+            model.sigma_matrix()
+
+    def test_sigma_matrix_needs_a_multilinear_model(self):
+        # X^2 - E X^2 of a centered standardized Pareto(8) has variance 21.7, not 1
+        dist = ParetoPower(8.0, centered=True, standardized=True)
+        model = common_model(2, 5, [dist], multiplicities=(2,))
+        with pytest.raises(ValueError, match="multilinear"):
+            model.sigma_matrix()
+
     def test_martingale_conditional_mean_zero(self):
         model = common_model(
             2, 6,

@@ -77,7 +77,7 @@ class TestConjugateTail:
         from polymoment.tails import _optimal_exponent
 
         x = 40.0
-        assert _optimal_exponent(spec, x) == pytest.approx(x ** 2 / math.e, rel=1e-3)
+        assert _optimal_exponent(spec, math.log(x)) == pytest.approx(x ** 2 / math.e, rel=1e-3)
 
     def test_expansion_beyond_default_grid(self):
         # growth envelopes need exponents far above any fixed grid at large x
@@ -242,3 +242,12 @@ class TestMomentTailSandwich:
         for p, original in zip(grid[:-3], moments[:-3]):
             recovered = moments_from_tail(conj, float(p))
             assert recovered >= original * (1 - 1e-9)
+
+    def test_indicator_conjugate_near_its_index(self):
+        # the conjugate tail of Indicator(4) is min(1, x^-4) beyond e, so
+        # E|xi|^p = e^p + p e^(p-4) / (4 - p); near p = 4 most of that mass
+        # lies where x^-4 underflows, which its log form keeps
+        conj = ConjugateTail(ConjugateSpec(Indicator(r=4)))
+        for p in (3.9, 3.99, 3.999):
+            want = (math.exp(p) + p * math.exp(p - 4.0) / (4.0 - p)) ** (1.0 / p)
+            assert moments_from_tail(conj, p) == pytest.approx(want, rel=1e-11)
