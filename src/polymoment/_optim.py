@@ -1,14 +1,9 @@
-"""Numerical helpers: scan-and-golden-section minimisation, and scipy's QUADPACK and brentq."""
+"""Numerical helpers: scan-and-golden-section minimisation and Chebyshev grids."""
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
-import threading
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -118,56 +113,3 @@ def chebyshev_grid(lo: float, hi: float, n: int):
     nodes[0] = lo
     nodes[-1] = hi
     return nodes
-
-
-_LOAD_LOCK = threading.Lock()
-# loaded here and kept out of sys.modules, so that scipy's own import of the
-# package loads the submodule again and binds it as the package's attribute
-_EXTENSIONS: dict = {}
-
-
-def _extension_file(name: str) -> Optional[str]:
-    """Path of scipy's compiled module ``name``; finding scipy does not import it."""
-    base = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
-                        *name.split(".")[1:])
-    suffixes = importlib.machinery.EXTENSION_SUFFIXES
-    return next((base + s for s in suffixes if os.path.isfile(base + s)), None)
-
-
-def _extension(name: str):
-    """scipy's compiled module ``name``: the one scipy has loaded, else one loaded
-    from its file without its packages' ``__init__`` (``import scipy.integrate``
-    takes about 0.7 s) and kept in ``_EXTENSIONS``; without a file, a plain import."""
-    with _LOAD_LOCK:
-        module = sys.modules.get(name) or _EXTENSIONS.get(name)
-        if module is None and (path := _extension_file(name)):
-            loader = importlib.machinery.ExtensionFileLoader(name, path)
-            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
-            loader.exec_module(module)
-            if sys.modules.get(name) is module:  # single-phase init registers itself
-                del sys.modules[name]
-            _EXTENSIONS[name] = module
-    return module or importlib.import_module(name)
-
-
-def quad(f: Callable[[float], float], a: float, b: float) -> float:
-    """``scipy.integrate.quad(f, a, b, full_output=1, epsabs=0.0, epsrel=1e-11,
-    limit=400)[0]`` for ``a <= b <= inf``, bit for bit; it never warns either."""
-    if a == b:
-        return 0.0
-    qp = _extension("scipy.integrate._quadpack")
-    if b == math.inf:
-        return qp._qagie(f, a, 1, (), 1, 0.0, 1e-11, 400)[0]
-    return qp._qagse(f, a, b, (), 1, 0.0, 1e-11, 400)[0]
-
-
-def brentq(f: Callable[[float], float], a: float, b: float) -> float:
-    """``scipy.optimize.brentq(f, a, b)``, bit for bit; ``ValueError`` on a NaN, as there."""
-
-    def checked(x: float) -> float:
-        if math.isnan(fx := f(x)):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
-    zeros = _extension("scipy.optimize._zeros")
-    return zeros._brentq(checked, a, b, 2e-12, 4 * sys.float_info.epsilon, 100, (), 0, True)

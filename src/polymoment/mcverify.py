@@ -72,6 +72,11 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+# the version of a report's numbers for a fixed (plan, seed): 2 since the
+# moment integrals moved to the double-exponential rule, tables to the
+# (p, p log nu) interpolation, batch means to size weights and windowed
+# uniform tensors to the recursion; the random stream is unchanged
+STREAM_VERSION = 2
 
 
 class NumericFailure(RuntimeError):
@@ -304,13 +309,14 @@ def _moment_rows(plan: ExperimentPlan, stats: List[Dict], bound_env) -> List[Mom
     total = float(sum(s["count"] for s in stats))
     sums = np.sum([s["powers"] for s in stats], axis=0)
     batch_means = np.array([s["powers"] / s["count"] for s in stats])
+    counts = [s["count"] for s in stats]
     rows = []
     for j, p in enumerate(plan.p_grid):
         p = float(p)
         m = sums[j] / total
         if not math.isfinite(m):
             raise NumericFailure(f"non-finite power mean at p={p}")
-        est = _moment_estimate(m, batch_means[:, j], p)
+        est = _moment_estimate(m, batch_means[:, j], counts, p)
         bound = float(bound_env(p))
         ratio = est.value / bound if bound > 0 and math.isfinite(bound) else math.inf
         passed = (est.value - 2.0 * est.stderr) <= bound
@@ -375,6 +381,7 @@ def _run(plan: ExperimentPlan) -> VerificationReport:
         "window": list(plan.window) if plan.window else None,
         "threads": plan.threads,
         "version": _pkg_version,
+        "stream_version": STREAM_VERSION,
         "wall_time_s": None,  # set below
         **tail_meta,
     }
@@ -458,7 +465,7 @@ def convergence_diagnostics(
         done = target
         total = float(sum(batch_counts))
         m = sum(batch_sums) / total
-        est = _moment_estimate(m, np.array(batch_sums) / np.array(batch_counts), p)
+        est = _moment_estimate(m, np.array(batch_sums) / np.array(batch_counts), batch_counts, p)
         estimates.append(est.value)
         stderrs.append(est.stderr)
 

@@ -28,6 +28,7 @@ import dataclasses
 import functools
 import math
 import numbers
+import sys
 import threading
 from dataclasses import dataclass, field, replace
 from math import comb
@@ -43,8 +44,15 @@ from .calculus import (
     DependenceRegime,
     combined_exponent,
 )
-from .envelope import MomentEstimate, SlowlyVarying, Tabulated, _moment_estimate
-from ._optim import brentq, chebyshev_grid, quad
+from .envelope import (
+    InfiniteMomentQuadError,
+    MomentEstimate,
+    SlowlyVarying,
+    Tabulated,
+    _moment_estimate,
+    de_integrals,
+)
+from ._optim import chebyshev_grid
 
 __all__ = [
     "IndexTuple",
@@ -215,6 +223,23 @@ class InputDistribution:
     def survival_quantile(self, u: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
 
+    def log_survival_quantile(self, t: np.ndarray) -> np.ndarray:
+        """``log|X|`` at the survival uniform ``u = e^(-t)``, for t >= 0.
+
+        The subclasses that override it with a closed form are positive
+        inputs.  This default reads ``survival_quantile`` and is -inf beyond
+        ``T_NORMAL``, where u is no longer a normal float: an input without a
+        closed form gets moments cut off there.
+        """
+        t = np.asarray(t, dtype=float)
+        with np.errstate(divide="ignore"):
+            lx = np.log(np.abs(self.survival_quantile(np.exp(-np.minimum(t, T_NORMAL)))))
+        return np.where(t <= T_NORMAL, lx, -math.inf)
+
+    def kinks(self) -> Tuple[float, ...]:
+        """The t where ``log_survival_quantile`` bends; the moment integrals break there."""
+        return ()
+
     @property
     def moment_boundary(self) -> float:
         """Supremum of p with E|X|^p finite."""
@@ -244,105 +269,74 @@ class InputDistribution:
         return m2 - mu * mu
 
 
+# beyond this t, u = e^(-t) is no longer a normal float
+T_NORMAL = -math.log(sys.float_info.min)
+
+
 def _moments(
-    dist: InputDistribution, ps: Sequence[float], loc: float = 0.0, signed: bool = False
-) -> List[float]:
-    """``E (X - loc)^p`` (signed) or ``E |X - loc|^p`` for each p of ``ps``.
-
-    A sum over the atoms of a finitely supported input, else one
-    ``_survival_quad`` call for every p below the moment boundary (inf above).
-    """
-    at = dist.atoms()
-    if at is not None:
-        vals, probs = at
-        w = vals - loc if signed else np.abs(vals - loc)
-        return [float(np.sum(probs * w ** p)) for p in ps]
-    r = dist.moment_boundary
-    finite = iter(_survival_quad(dist, [p for p in ps if p < r], loc, signed).tolist())
-    return [next(finite) if p < r else math.inf for p in ps]
-
-
-def _survival_quad(
     dist: InputDistribution,
     ps: Sequence[float],
     loc: float = 0.0,
     signed: bool = False,
     u_max: float = 1.0,
-) -> np.ndarray:
-    """``E (X - loc)^p`` (signed) or ``E |X - loc|^p`` by quadrature, for each p of ``ps``.
+) -> List[float]:
+    """``E (X - loc)^p`` (signed) or ``E |X - loc|^p`` for each p of ``ps``.
 
-    Integrates over the survival uniform via the substitution u = e^(-t),
-    which turns heavy-tail endpoint singularities at u -> 0 into smooth
-    exponentially weighted integrands.  The power is combined with the
-    exponential weight in log space so near-boundary exponents cannot
-    overflow before the weight is applied.  With ``u_max < 1`` only the
-    top-tail region u in (0, u_max) is integrated (u = u_max e^(-t)), which
-    gives the expectation restricted to the event {U < u_max}.
-
-    Each exponent gets its own adaptive ``quad`` and its own integrand, but
-    their bisections share most nodes, so ``log|X - loc|`` (None where
-    X == loc) is taken once per node t and kept for this call only, with the
-    nodes where X < loc in a set when the moments are signed.
-
-    Where u underflows to 0 (t beyond about 745) the integrand is set to 0.
-    That truncates the moment: for p near the moment boundary the cut-off
-    tail still carries a visible share of it (e.g. ``ParetoPower(6.0)`` at
-    p = 5.99 gives about 427 against its closed form 600).
+    A sum over the atoms of a finitely supported input, else one
+    :func:`de_integrals` call for every p below the moment boundary (inf
+    above).  It integrates ``exp(p log|X - loc| - t)`` over ``t = -log u``,
+    in pieces that break where X crosses 0 and loc (found by bisection), and
+    ends at infinity for an input with a closed ``log_survival_quantile``,
+    else at ``T_NORMAL``.  With ``u_max < 1`` only the top-tail region u in
+    (0, u_max) is integrated, which gives the expectation restricted to the
+    event {U < u_max}.
     """
-    logs: Dict[float, Optional[float]] = {}  # t -> log|X - loc| at u = u_max e^(-t)
-    below = set()  # the nodes t where X < loc, for signed moments
-
-    def x_minus_loc(t: float) -> float:
-        u = u_max * math.exp(-t)
-        return 0.0 if u == 0.0 else float(dist.survival_quantile(np.array([u]))[0]) - loc
-
-    def integrand(p: float) -> Callable[[float], float]:
-        odd = signed and int(p) % 2 == 1
-
-        def f(t: float) -> float:
-            try:
-                lg = logs[t]
-            except KeyError:
-                w = x_minus_loc(t)
-                lg = logs[t] = math.log(abs(w)) if w != 0.0 else None
-                if signed and w < 0.0:
-                    below.add(t)
-            if lg is None:
-                return 0.0
-            log_term = p * lg - t
-            if log_term > 700.0:
-                raise InfiniteMomentQuadError(
-                    f"moment integrand overflows at order p={p}; the moment diverges"
-                )
-            return -math.exp(log_term) if odd and t in below else math.exp(log_term)
-
-        return f
-
-    breaks = [0.0]
-    if loc != 0.0:
-        # breakpoint where the integrand kinks (X crosses loc)
-        try:
-            lo, hi = 1e-9, 60.0
-            if x_minus_loc(lo) * x_minus_loc(hi) < 0:
-                breaks.append(float(brentq(x_minus_loc, lo, hi)))
-        except ValueError:
-            pass
-    breaks.append(50.0)
-    breaks = sorted(set(breaks))
-    out = np.empty(len(ps))
-    # roundoff near the moment-existence edge is expected and tolerated;
-    # quad never warns, so no process-global warning filter is needed
-    for i, p in enumerate(map(float, ps)):
-        f = integrand(p)
-        total = 0.0
-        for a, b in zip(breaks, breaks[1:] + [math.inf]):
-            total += quad(f, a, b)
-        out[i] = u_max * total
-    return out
+    at = dist.atoms() if u_max == 1.0 else None
+    if at is not None:
+        vals, probs = at
+        w = vals - loc if signed else np.abs(vals - loc)
+        return [float(np.sum(probs * w ** p)) for p in ps]
+    r = dist.moment_boundary
+    orders = np.array([p for p in ps if p < r], dtype=float)
+    finite = iter(_survival_integrals(dist, orders, loc, signed, -math.log(u_max)).tolist())
+    return [next(finite) if p < r else math.inf for p in ps]
 
 
-class InfiniteMomentQuadError(OverflowError):
-    pass
+def _survival_integrals(dist, ps: np.ndarray, loc: float, signed: bool, t_lo: float) -> np.ndarray:
+    if ps.size == 0:
+        return ps
+    closed = type(dist).log_survival_quantile is not InputDistribution.log_survival_quantile
+
+    def x_at(t: float) -> float:
+        return float(dist.survival_quantile(np.array([math.exp(-t)]))[0])
+
+    def log_dist(t: np.ndarray) -> np.ndarray:
+        """``log|X - loc|`` at u = e^(-t)."""
+        if loc == 0.0:
+            return dist.log_survival_quantile(t)
+        if closed:
+            # a positive input, whose loc (its mean) is positive: the log
+            # form keeps X - loc where X overflows a float
+            lx, ll = dist.log_survival_quantile(t), math.log(loc)
+            return np.where(lx > ll, lx + np.log1p(-np.exp(ll - lx)), ll + np.log1p(-np.exp(lx - ll)))
+        return np.log(np.abs(dist.survival_quantile(np.exp(-t)) - loc))
+
+    end = math.inf if closed else T_NORMAL
+    breaks = {t_lo, *(k for k in dist.kinks() if t_lo < k < end)}
+    for level in {0.0, loc}:
+        lo, hi = t_lo, 700.0
+        if x_at(lo) < level <= x_at(hi):  # X is nondecreasing in t
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                lo, hi = (mid, hi) if x_at(mid) < level else (lo, mid)
+            breaks.add(hi)
+    breaks = [*sorted(breaks), end]
+    pieces = de_integrals(lambda t, rows: ps[rows, None] * log_dist(t) - t, breaks, ps.tolist())
+    if signed:
+        odd = ps % 2 == 1
+        for k, (a, b) in enumerate(zip(breaks, breaks[1:])):
+            if x_at(0.5 * (a + b) if b < math.inf else a + 1.0) < loc:
+                pieces[k, odd] *= -1.0
+    return pieces.sum(axis=0)
 
 
 # stratified_moment integrates this top share of the survival-uniform range exactly
@@ -370,13 +364,14 @@ def stratified_moment(
     if replications < 1:
         raise ValueError(f"need at least one replication, got {replications}")
     delta = STRATIFIED_TOP_FRACTION
-    exact_tail = float(_survival_quad(dist, [p], u_max=delta)[0])
+    exact_tail = _moments(dist, [p], u_max=delta)[0]
     gen = _stream(seed, 0)
     u = delta + (1.0 - delta) * gen.random(replications)
     body = np.abs(dist.survival_quantile(u)) ** p
     m = exact_tail + (1.0 - delta) * float(body.mean())
     batches = np.array_split(body, int(math.sqrt(replications)))
-    return _moment_estimate(m, [(1.0 - delta) * b.mean() for b in batches], p)
+    return _moment_estimate(m, [exact_tail + (1.0 - delta) * b.mean() for b in batches],
+                            [b.size for b in batches], p)
 
 
 @dataclass(frozen=True)
@@ -395,6 +390,9 @@ class ParetoPower(InputDistribution):
 
     def survival_quantile(self, u: np.ndarray) -> np.ndarray:
         return np.asarray(u, dtype=float) ** (-1.0 / self.r1)
+
+    def log_survival_quantile(self, t: np.ndarray) -> np.ndarray:
+        return np.asarray(t, dtype=float) / self.r1
 
     @property
     def moment_boundary(self) -> float:
@@ -426,6 +424,15 @@ class LogPerturbedPareto(InputDistribution):
         lg = np.abs(np.log(u))
         return u ** (-1.0 / self.r) * lg ** self.kappa * self.slowvar(lg)
 
+    def log_survival_quantile(self, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        log_power = self.kappa * np.log(t) if self.kappa else 0.0  # t^0 is 1 at t = 0
+        return t / self.r + log_power + np.log(self.slowvar(t))
+
+    def kinks(self) -> Tuple[float, ...]:
+        # L is clamped to L(1) below 1
+        return () if self.slowvar.kind == "constant" else (1.0,)
+
     @property
     def moment_boundary(self) -> float:
         return self.r
@@ -444,10 +451,11 @@ class LogPowerOnly(InputDistribution):
     def survival_quantile(self, u: np.ndarray) -> np.ndarray:
         return np.abs(np.log(np.asarray(u, dtype=float))) ** self.mu
 
-    def raw_abs_moment(self, p: float) -> float:
-        from scipy.special import gamma
+    def log_survival_quantile(self, t: np.ndarray) -> np.ndarray:
+        return self.mu * np.log(np.asarray(t, dtype=float))
 
-        return float(gamma(self.mu * p + 1.0))
+    def raw_abs_moment(self, p: float) -> float:
+        return _gamma(self.mu * p + 1.0)
 
     def signed_moment(self, k: int) -> float:
         return self.raw_abs_moment(float(k))
@@ -510,12 +518,9 @@ class DoubleExpDiscrete(InputDistribution):
     def raw_abs_moment(self, p: float) -> float:
         if p >= self.r:
             return math.inf
-        from scipy.special import logsumexp
-
         ks, logw = self._log_weights()
         log_terms = logw + p * np.exp(ks.astype(float))
-        log_norm = logsumexp(logw)
-        return float(np.exp(logsumexp(log_terms) - log_norm))
+        return float(np.exp(np.logaddexp.reduce(log_terms) - np.logaddexp.reduce(logw)))
 
 
 @dataclass(frozen=True)
@@ -533,13 +538,22 @@ class Weibull(InputDistribution):
         u = np.asarray(u, dtype=float)
         return (-np.log(u) / self.c) ** (1.0 / self.alpha)
 
-    def raw_abs_moment(self, p: float) -> float:
-        from scipy.special import gamma
+    def log_survival_quantile(self, t: np.ndarray) -> np.ndarray:
+        return (np.log(np.asarray(t, dtype=float)) - math.log(self.c)) / self.alpha
 
-        return float(self.c ** (-p / self.alpha) * gamma(1.0 + p / self.alpha))
+    def raw_abs_moment(self, p: float) -> float:
+        return self.c ** (-p / self.alpha) * _gamma(1.0 + p / self.alpha)
 
     def signed_moment(self, k: int) -> float:
         return self.raw_abs_moment(float(k))
+
+
+def _gamma(x: float) -> float:
+    """Gamma(x) for x > 0, inf where it overflows a float."""
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -645,64 +659,13 @@ def cell_abs_moment(dist: InputDistribution, ps: Sequence[float], symmetrized: b
     return np.array([m / scale ** p for m, p in zip(moments, ps)])
 
 
-class _NaturalTable(Tabulated):
-    """A tabulated envelope whose entries are computed on first use.
-
-    ``entries(ps)`` returns the values at the grid exponents ``ps``, each with
-    the same bits whichever exponents share the call.  The first evaluation
-    computes the grid prefix its interpolation reads; a later one that reads
-    beyond it, or ``values``, computes the rest.  So ``entries`` runs at most
-    twice.  Fills hold a lock, and one that raises fills nothing.
-    """
-
-    def __init__(self, grid: Tuple[float, ...], entries: Callable, upper: Optional[float]):
-        # the instance is frozen: its state goes into __dict__ directly
-        nan = np.full(len(grid), math.nan)
-        self.__dict__.update(p_grid=np.array(grid), upper=upper, upper_closed=True, _entries=entries,
-                             _table=nan, _log_values=nan, _filled=0, _lock=threading.Lock())
-        self._set_grid()
-
-    @property
-    def values(self) -> np.ndarray:
-        self._logs(self.p_grid[-1])
-        return self._table
-
-    def __repr__(self) -> str:  # the dataclass repr would read values, computing every entry
-        return f"{type(self).__name__}(p_grid={self.p_grid!r}, upper={self.upper!r})"
-
-    def _logs(self, ps) -> np.ndarray:
-        n = self.p_grid.size
-        if self._filled < n and np.size(ps):
-            # np.interp reads the entries on both sides of each exponent
-            need = min(int(np.searchsorted(self.p_grid, np.max(ps), "right")), n - 1)
-            if need >= self._filled:
-                self._fill(need)
-        return self._log_values
-
-    def _fill(self, need: int) -> None:
-        with self._lock:
-            lo = self._filled
-            if need < lo:
-                return
-            hi = need + 1 if lo == 0 else self.p_grid.size
-            new = np.array(self._entries(self.p_grid[lo:hi].tolist()), dtype=float)
-            self._check_values(new)
-            table = self._table.copy()
-            table[lo:hi] = new
-            # logs of the whole table, as one np.log over a complete table takes them
-            self.__dict__.update(_table=table, _log_values=np.log(table), _filled=hi)
-
-
 @functools.lru_cache(maxsize=64)
 def _tabulate_natural(dist: InputDistribution, symmetrized: bool, grid: Tuple[float, ...]) -> Tabulated:
     r = dist.moment_boundary
     factor = MODULATOR_HIGH if symmetrized else 1.0
-
-    def entries(ps: List[float]) -> List[float]:
-        moments = cell_abs_moment(dist, ps, symmetrized).tolist()
-        return [factor * m ** (1.0 / p) for m, p in zip(moments, ps)]
-
-    return _NaturalTable(grid, entries, r if math.isfinite(r) else None)
+    ps = np.array(grid)
+    values = factor * cell_abs_moment(dist, grid, symmetrized) ** (1.0 / ps)
+    return Tabulated(ps, values, upper=r if math.isfinite(r) else None)
 
 
 def natural_envelope(
@@ -717,11 +680,9 @@ def natural_envelope(
     p-th norms by at most ``MODULATOR_HIGH``, which is folded in so the
     envelope dominates the cells actually produced by the sampler.
 
-    Entries are computed on first use, with the bits of the whole table: the
-    grid prefix the first evaluation reads, then the rest.  Product chains read
-    each input only up to their combined exponent and skip the costly entries
-    near its moment boundary.  ``InfiniteMomentQuadError`` surfaces at each
-    evaluation that needs the diverging exponent, not at construction.
+    The whole table is computed at construction, in one quadrature call for
+    an input without closed-form moments; ``InfiniteMomentQuadError`` names
+    the lowest grid exponent whose moment integral overflows.
     """
     symmetrized = _is_symmetrized(regime_tag)
     r = dist.moment_boundary
@@ -955,7 +916,10 @@ class Sampler:
         tensor = model.coefficients
         if window is not None:
             tensor = tensor.restrict(self.i_lo, i_hi)
-        self.coef = next(iter(tensor.entries.values())) if tensor.is_uniform else None
+        # uniform over the window's own indices, which restrict keeps numbered in 1..n
+        values = set(tensor.entries.values())
+        uniform = len(values) == 1 and len(tensor.entries) == comb(self.rows, slots)
+        self.coef = values.pop() if uniform else None
         if self.coef is None:
             # general tensors: the lexicographic terms as flat rows and a
             # (K, 1) coefficient column, and the same per last-index group

@@ -31,6 +31,7 @@ from .envelope import (
     MomentEnvelope,
     RegularVariationTail,
     SlowlyVarying,
+    Tabulated,
     TailBound,
 )
 
@@ -213,6 +214,15 @@ class ConjugateTail(TailBound):
 
     def log_tail(self, s: float) -> float:
         return _log_tail(self.spec, s) if s > 1.0 else 0.0
+
+    def kinks(self) -> Tuple[float, ...]:
+        # vacuous up to s = 1; over a table, which is linear in (p, p log nu),
+        # the bound is piecewise linear in s and bends at the chord slopes
+        env = self.spec.envelope
+        if not isinstance(env, Tabulated):
+            return (1.0,)
+        log_moments = env.p_grid * (np.log(env.values) + math.log(self.spec.norm_factor))
+        return (1.0, *(np.diff(log_moments) / np.diff(env.p_grid)).tolist())
 
 
 def regular_variation_tail(

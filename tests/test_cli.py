@@ -327,45 +327,6 @@ for name in sys.argv[2:]:
 """
 
 
-_EXTENSIONS_ONLY_CHECK = """
-import contextlib, io, math, sys
-
-import polymoment.cli
-from polymoment._optim import brentq, quad
-
-for name in sys.argv[2:]:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = polymoment.cli.main(
-            ["verify", "--scenario", name, "--out", sys.argv[1] + "/" + name]
-        )
-    assert code == 0, name
-    for package in ("scipy.integrate", "scipy.optimize"):
-        assert package not in sys.modules, name + " imported " + package
-from polymoment import _optim
-
-assert sorted(_optim._EXTENSIONS) == ["scipy.integrate._quadpack", "scipy.optimize._zeros"]
-assert not set(_optim._EXTENSIONS) & set(sys.modules)
-
-def f(t):
-    return math.exp(2.5 * math.log1p(t) - t)
-
-def h(x):
-    return x * x - 2.0
-
-from scipy import integrate, optimize
-
-# scipy's import binds its own submodules, and the helpers reuse them
-assert integrate._quadpack_py._quadpack is integrate._quadpack
-assert optimize._zeros_py._zeros is optimize._zeros
-assert _optim._extension("scipy.integrate._quadpack") is integrate._quadpack
-assert _optim._extension("scipy.optimize._zeros") is optimize._zeros
-for a, b in ((0.0, 50.0), (50.0, math.inf)):
-    want = integrate.quad(f, a, b, full_output=1, epsabs=0.0, epsrel=1e-11, limit=400)
-    assert quad(f, a, b).hex() == want[0].hex(), (a, b)
-assert brentq(h, 0.0, 2.0).hex() == optimize.brentq(h, 0.0, 2.0).hex()
-"""
-
-
 def fresh_process(script, *argv):
     import polymoment
 
@@ -380,22 +341,17 @@ def fresh_process(script, *argv):
 
 
 class TestImportHygiene:
-    def test_scipy_waits_for_the_first_quadrature(self, tmp_path):
-        # inputs with closed forms or atoms never need a quadrature, so these
-        # scenarios run without loading scipy at all
-        scenarios = [
-            "pareto_d2_martingale", "pareto_d2_vector", "pareto_reverse_window",
-            "rademacher_d1_doob", "rademacher_d2_common",
-        ]
-        proc = fresh_process(_SCIPY_FREE_CHECK, str(tmp_path), *scenarios)
-        assert proc.returncode == 0, proc.stderr
+    def test_no_scenario_imports_scipy(self, tmp_path):
+        # scipy is a test dependency only: the moment integrals are numpy, so
+        # every bundled scenario runs without loading it
+        import polymoment
 
-    def test_quadrature_loads_only_the_extensions(self, tmp_path):
-        # inside this test process scipy.stats has loaded scipy.integrate, so
-        # only a fresh interpreter takes the direct extension load; a later
-        # import of the packages must bind their submodules as usual
-        scenarios = ["pareto_d2_common", "pareto_d2_inside", "pareto_diagonal_degree2"]
-        proc = fresh_process(_EXTENSIONS_ONLY_CHECK, str(tmp_path), *scenarios)
+        scenarios = sorted(
+            name[:-len(".json")]
+            for name in os.listdir(os.path.join(os.path.dirname(polymoment.__file__), "scenarios"))
+        )
+        assert len(scenarios) == 8
+        proc = fresh_process(_SCIPY_FREE_CHECK, str(tmp_path), *scenarios)
         assert proc.returncode == 0, proc.stderr
 
 

@@ -87,10 +87,10 @@ class TestEvaluation:
         env = Indicator(r=4, lower=2.0)
         assert env(1.5) == math.inf
 
-    def test_tabulated_log_linear(self):
+    def test_tabulated_log_moment_linear(self):
         env = Tabulated(np.array([1.0, 3.0]), np.array([1.0, 4.0]))
-        # log-linear: value at 2 is geometric mean of 1 and 4
-        assert env(2.0) == pytest.approx(2.0, rel=1e-12)
+        # linear in p log nu: 2 log nu(2) is the mean of 1 log 1 and 3 log 4
+        assert env(2.0) == pytest.approx(4.0 ** 0.75, rel=1e-12)
 
     def test_tabulated_declared_upper_beyond_grid(self):
         env = Tabulated(np.array([1.0, 2.0]), np.array([1.0, 1.0]), upper=4.0)
@@ -308,6 +308,24 @@ class TestEmpiricalMoments:
     def test_empty(self):
         with pytest.raises(ValueError):
             empirical_moments([], 2.0)
+
+    def test_batch_means_weighted_by_batch_size(self):
+        # 350,000 replications run as 63 batches of 5,469 and one of 5,453
+        from polymoment.envelope import _moment_estimate
+        from polymoment.polymodel import batch_plan
+
+        counts = batch_plan(350_000)
+        assert counts == [5469] * 63 + [5453]
+        means = 1.0 + 0.01 * np.sin(np.arange(64.0))
+        means[-1] = 3.0  # the short batch is far off: its weight shows
+        m = float(np.dot(counts, means)) / 350_000
+        est = _moment_estimate(m, means, counts, 2.0)
+        var = sum((c / 350_000 * (b - m)) ** 2 for c, b in zip(counts, means)) * 64 / 63
+        assert est.power_mean_stderr == pytest.approx(math.sqrt(var), rel=1e-12)
+        assert est.stderr == pytest.approx(math.sqrt(var) * math.sqrt(m) / (2.0 * m), rel=1e-12)
+        # equal batches: the ddof=1 standard deviation of the means over sqrt(B)
+        equal = _moment_estimate(float(means.mean()), means, [10] * 64, 2.0)
+        assert equal.power_mean_stderr == pytest.approx(means.std(ddof=1) / 8.0, rel=1e-12)
 
     def test_pareto_power_large_sample(self):
         rng = np.random.default_rng(12345)

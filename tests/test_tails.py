@@ -8,6 +8,7 @@ from polymoment import (
     ConjugateTail,
     Indicator,
     PowerGrowth,
+    PowerSingularity,
     RegularVariationTail,
     SlowlyVarying,
     Tabulated,
@@ -251,3 +252,20 @@ class TestMomentTailSandwich:
         for p in (3.9, 3.99, 3.999):
             want = (math.exp(p) + p * math.exp(p - 4.0) / (4.0 - p)) ** (1.0 / p)
             assert moments_from_tail(conj, p) == pytest.approx(want, rel=1e-11)
+
+    def test_declared_index_is_not_probed(self):
+        # the tail's own index (3.9997) decides divergence; the local slope
+        # between 1e6 and 2e6 (about 3.71) would refuse p = 3.8 and 3.9
+        from scipy import integrate
+
+        conj = ConjugateTail(ConjugateSpec(PowerSingularity(r=4.0, power=1.0)))
+        for p in (3.8, 3.9):
+            def f(s):
+                return p * math.exp(p * s + conj.log_tail(s))
+            # the s-integral, broken where the bound leaves 1 (s = 1, x = e)
+            want = math.exp(p) + sum(
+                integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+                for a, b in ((1.0, 10.0), (10.0, 100.0), (100.0, math.inf)))
+            assert moments_from_tail(conj, p) == pytest.approx(want ** (1.0 / p), rel=1e-10)
+        assert moments_from_tail(conj, 3.8) == pytest.approx(16.79, rel=1e-3)
+        assert moments_from_tail(conj, 3.9) == pytest.approx(39.01, rel=1e-3)
