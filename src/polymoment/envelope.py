@@ -618,9 +618,8 @@ def _de_nodes(y: np.ndarray, a: float, b: float):
         return a + np.exp(y), y
     if a == -math.inf:
         return b - np.exp(y), y
-    with np.errstate(over="ignore"):
-        t = a + (b - a) / (1.0 + np.exp(-y))
-    return t, math.log(b - a) - np.logaddexp(0.0, y) - np.logaddexp(0.0, -y)
+    log_1p_exp = np.logaddexp(0.0, y)
+    return a + (b - a) * np.exp(y - log_1p_exp), math.log(b - a) + y - 2.0 * log_1p_exp
 
 
 def de_integrals(log_f: Callable, breaks: Sequence[float], orders: Sequence[float]) -> np.ndarray:
@@ -635,8 +634,8 @@ def de_integrals(log_f: Callable, breaks: Sequence[float], orders: Sequence[floa
     same 545 nodes.  Rows go in blocks of ``DE_BLOCK``, which bounds the
     arrays.  Returns a (pieces, rows) array.
 
-    Raises :class:`InfiniteMomentQuadError`, naming the lowest order, when a
-    term overflows, and ``FloatingPointError`` when a row's half-step sums
+    Raises :class:`InfiniteMomentQuadError`, naming the order, when a term
+    overflows, and ``FloatingPointError`` when a row's half-step sums
     differ by more than ``DE_REL_TOL`` of the sum of its pieces' sizes.
     """
     out = np.empty((len(breaks) - 1, len(orders)))

@@ -274,35 +274,35 @@ T_NORMAL = -math.log(sys.float_info.min)
 
 
 def _moments(
-    dist: InputDistribution,
-    ps: Sequence[float],
-    loc: float = 0.0,
-    signed: bool = False,
-    u_max: float = 1.0,
+    dist: InputDistribution, ps: Sequence[float], loc: float = 0.0, signed: bool = False
 ) -> List[float]:
     """``E (X - loc)^p`` (signed) or ``E |X - loc|^p`` for each p of ``ps``.
 
     A sum over the atoms of a finitely supported input, else one
-    :func:`de_integrals` call for every p below the moment boundary (inf
-    above).  It integrates ``exp(p log|X - loc| - t)`` over ``t = -log u``,
-    in pieces that break where X crosses 0 and loc (found by bisection), and
-    ends at infinity for an input with a closed ``log_survival_quantile``,
-    else at ``T_NORMAL``.  With ``u_max < 1`` only the top-tail region u in
-    (0, u_max) is integrated, which gives the expectation restricted to the
-    event {U < u_max}.
+    ``_survival_integrals`` call for every p below the moment boundary (inf
+    above).
     """
-    at = dist.atoms() if u_max == 1.0 else None
+    at = dist.atoms()
     if at is not None:
         vals, probs = at
         w = vals - loc if signed else np.abs(vals - loc)
         return [float(np.sum(probs * w ** p)) for p in ps]
     r = dist.moment_boundary
-    orders = np.array([p for p in ps if p < r], dtype=float)
-    finite = iter(_survival_integrals(dist, orders, loc, signed, -math.log(u_max)).tolist())
+    finite = iter(_survival_integrals(dist, np.array([p for p in ps if p < r]), loc, signed).tolist())
     return [next(finite) if p < r else math.inf for p in ps]
 
 
-def _survival_integrals(dist, ps: np.ndarray, loc: float, signed: bool, t_lo: float) -> np.ndarray:
+def _survival_integrals(
+    dist: InputDistribution, ps: np.ndarray, loc: float = 0.0, signed: bool = False, t_lo: float = 0.0
+) -> np.ndarray:
+    """``int exp(p log|X - loc| - t) dt`` over ``t = -log u`` from ``t_lo``, for each p of ``ps``,
+    by :func:`de_integrals`; from ``t_lo = -log u_max``, the expectation on {U < u_max}.
+
+    The pieces break where X crosses 0 and loc (found by bisection) and at
+    the input's kinks, and end at infinity for an input with a closed
+    ``log_survival_quantile``, else at ``T_NORMAL``.  Signed moments of odd
+    order negate the pieces where X < loc.
+    """
     if ps.size == 0:
         return ps
     closed = type(dist).log_survival_quantile is not InputDistribution.log_survival_quantile
@@ -318,7 +318,7 @@ def _survival_integrals(dist, ps: np.ndarray, loc: float, signed: bool, t_lo: fl
             # a positive input, whose loc (its mean) is positive: the log
             # form keeps X - loc where X overflows a float
             lx, ll = dist.log_survival_quantile(t), math.log(loc)
-            return np.where(lx > ll, lx + np.log1p(-np.exp(ll - lx)), ll + np.log1p(-np.exp(lx - ll)))
+            return np.maximum(lx, ll) + np.log1p(-np.exp(-np.abs(lx - ll)))
         return np.log(np.abs(dist.survival_quantile(np.exp(-t)) - loc))
 
     end = math.inf if closed else T_NORMAL
@@ -364,7 +364,7 @@ def stratified_moment(
     if replications < 1:
         raise ValueError(f"need at least one replication, got {replications}")
     delta = STRATIFIED_TOP_FRACTION
-    exact_tail = _moments(dist, [p], u_max=delta)[0]
+    exact_tail = float(_survival_integrals(dist, np.array([p]), t_lo=-math.log(delta))[0])
     gen = _stream(seed, 0)
     u = delta + (1.0 - delta) * gen.random(replications)
     body = np.abs(dist.survival_quantile(u)) ** p
@@ -843,11 +843,7 @@ def power_mean(model: PolynomialModel, slot: int) -> float:
     k = model.multiplicities[slot]
     dist = model.distributions[slot]
     loc, scale = cell_loc_scale(dist, _is_symmetrized(model.regime.tag))
-    at = dist.atoms()
-    if at is not None:
-        vals, probs = at
-        return float(np.sum(probs * ((vals - loc) / scale) ** k))
-    if k >= dist.moment_boundary:
+    if dist.atoms() is None and k >= dist.moment_boundary:
         raise ValueError(f"E X^{k} diverges for {dist}")
     return _moments(dist, [k], loc, signed=True)[0] / scale ** k
 

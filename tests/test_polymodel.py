@@ -1195,9 +1195,9 @@ def quad_moment(dist, p, loc=0.0, signed=False, u_max=1.0):
 def ref_stratified(dist, p, reps, seed, delta=1e-3):
     """(value, stderr, power_mean, power_mean_stderr) with at least two body batches,
     each weighted by its size."""
-    from polymoment.polymodel import _moments
+    from polymoment.polymodel import _survival_integrals
 
-    exact_tail = _moments(dist, [p], u_max=delta)[0]
+    exact_tail = float(_survival_integrals(dist, np.array([p]), t_lo=-math.log(delta))[0])
     u = delta + (1.0 - delta) * _stream(seed, 0).random(reps)
     body = np.abs(dist.survival_quantile(u)) ** p
     batches = np.array_split(body, max(2, int(math.sqrt(reps))))
@@ -1219,9 +1219,9 @@ STRATIFIED_DISTS = [
 class TestStratifiedMoment:
     @pytest.mark.parametrize("dist", STRATIFIED_DISTS)
     def test_top_region(self, dist):
-        from polymoment.polymodel import _moments
+        from polymoment.polymodel import _survival_integrals
 
-        got = _moments(dist, [1.5, 4.0], u_max=1e-3)
+        got = _survival_integrals(dist, np.array([1.5, 4.0]), t_lo=-math.log(1e-3)).tolist()
         want = [quad_moment(dist, p, u_max=1e-3) for p in (1.5, 4.0)]
         assert got == pytest.approx(want, rel=1e-11)
         if isinstance(dist, ParetoPower):
@@ -1581,7 +1581,7 @@ def record_quadratures(monkeypatch):
     calls = []
     integrals = polymodel._survival_integrals
 
-    def recorded(dist, ps, loc, signed, t_lo):
+    def recorded(dist, ps, loc=0.0, signed=False, t_lo=0.0):
         calls.append((dist, list(ps), signed))
         return integrals(dist, ps, loc, signed, t_lo)
 
