@@ -288,7 +288,8 @@ def _moments(
         w = vals - loc if signed else np.abs(vals - loc)
         return [float(np.sum(probs * w ** p)) for p in ps]
     r = dist.moment_boundary
-    finite = iter(_survival_integrals(dist, np.array([p for p in ps if p < r]), loc, signed).tolist())
+    orders = np.array([p for p in ps if p < r], dtype=float)
+    finite = iter(_survival_integrals(dist, orders, loc, signed).tolist())
     return [next(finite) if p < r else math.inf for p in ps]
 
 

@@ -286,6 +286,18 @@ class TestMomentsFromTail:
         for p in (1.0, 2.0, 3.0, 3.5, 3.99, 3.999):
             assert moments_from_tail(tail, p) == pytest.approx(pareto_norm(4.0, p), rel=1e-9)
 
+    def test_tabulated_log_tail_keeps_its_bits(self):
+        # the logs of the grid and the values are taken once; log_tail is the
+        # log-log interpolation it was when it took them on every call
+        xs = np.logspace(0.0, 3.0, 61)
+        vals = np.minimum(1.0, 3.0 * xs ** -2.5)
+        vals[40:45] = 0.0
+        tail = TabulatedTail(xs, vals)
+        with np.errstate(divide="ignore"):
+            logv = np.where(vals > 0, np.log(np.maximum(vals, 1e-300)), -math.inf)
+        for s in np.linspace(0.1, 6.8, 97):
+            assert tail.log_tail(float(s)) == float(np.interp(s, np.log(xs), logv))
+
     def test_quadrature_roundoff_is_not_a_warning(self):
         # QUADPACK reports roundoff near this boundary moment; it is returned,
         # not warned, so no process-global warning filter is needed
