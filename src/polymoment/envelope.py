@@ -34,6 +34,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._optim import interp1
+
 __all__ = [
     "EnvelopeDomainError",
     "InfiniteMomentError",
@@ -309,11 +311,16 @@ class Tabulated(MomentEnvelope):
         end = float(self.p_grid[-1])
         return end, self.support.contains(end)
 
+    @cached_property
+    def _nodes(self) -> Tuple[list, list]:
+        # lists for interp1, built at the first scalar call
+        return self.p_grid.tolist(), self._log_moments.tolist()
+
     def _value(self, p: float) -> float:
-        ps = self.p_grid
+        ps, log_moments = self._nodes
         if p < ps[0] or p > ps[-1]:
             return math.inf
-        return float(math.exp(np.interp(p, ps, self._log_moments) / p))
+        return math.exp(interp1(ps, log_moments, p) / p)
 
     def values_at(self, ps) -> np.ndarray:
         # one array interpolation; math.exp per element, since np.exp may
@@ -545,8 +552,6 @@ class TabulatedTail(TailBound):
 
     x_grid: np.ndarray = None
     values: np.ndarray = None
-    _log_x: np.ndarray = field(init=False, default=None, repr=False)
-    _log_values: np.ndarray = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         xs = np.asarray(self.x_grid, dtype=float)
@@ -561,12 +566,8 @@ class TabulatedTail(TailBound):
             raise ValueError("tail values must lie in [0, 1]")
         object.__setattr__(self, "x_grid", xs)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_log_x", np.log(xs))
-        with np.errstate(divide="ignore"):
-            logv = np.where(vals > 0, np.log(np.maximum(vals, 1e-300)), -math.inf)
-        object.__setattr__(self, "_log_values", logv)
 
-    @property
+    @cached_property
     def pareto_index(self) -> float:
         xs, vals = self.x_grid, self.values
         pos = vals > 0
@@ -579,7 +580,7 @@ class TabulatedTail(TailBound):
         return max(-slope, 0.0)
 
     def kinks(self) -> Tuple[float, ...]:
-        return tuple(self._log_x.tolist())
+        return tuple(self._log_nodes[0])
 
     def log_tail(self, s: float) -> float:
         xs, vals = self.x_grid, self.values
@@ -590,7 +591,15 @@ class TabulatedTail(TailBound):
             if vals[-1] == 0.0 or math.isinf(idx):
                 return -math.inf
             return math.log(vals[-1]) - idx * (s - math.log(xs[-1]))
-        return float(np.interp(s, self._log_x, self._log_values))
+        return interp1(*self._log_nodes, s)
+
+    @cached_property
+    def _log_nodes(self) -> Tuple[list, list]:
+        """The logs of the grid and of the values (-inf at 0), as lists for :func:`interp1`."""
+        vals = self.values
+        with np.errstate(divide="ignore"):
+            logv = np.where(vals > 0, np.log(np.maximum(vals, 1e-300)), -math.inf)
+        return np.log(self.x_grid).tolist(), logv.tolist()
 
 
 # Double-exponential quadrature (Takahasi & Mori, Publ. RIMS 9, 1974).  Each

@@ -576,7 +576,16 @@ class Rademacher(InputDistribution):
 
 @dataclass(frozen=True, eq=False)
 class CustomQuantile(InputDistribution):
-    """User-supplied survival quantile with an optional finite atom list."""
+    """User-supplied survival quantile with an optional finite atom list.
+
+    Compares and hashes by identity, as the quantile callable cannot be
+    compared: each instance gets its own cached ``(loc, scale)`` and natural
+    table, and :meth:`Sampler.enumerate` shares draws across slots only when
+    each slot holds the same object.
+    """
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     quantile: Callable[[np.ndarray], np.ndarray] = None
     boundary: float = math.inf

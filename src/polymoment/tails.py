@@ -84,6 +84,7 @@ class ConjugateSpec:
     envelope: MomentEnvelope
     norm_factor: float = 1.0
     p_grid: Optional[np.ndarray] = None
+    _log_k: float = field(init=False, default=None, repr=False)
     _log_knu: np.ndarray = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
@@ -105,6 +106,7 @@ class ConjugateSpec:
                 "conjugate grid must lie where the envelope is finite and positive"
             )
         object.__setattr__(self, "p_grid", grid)
+        object.__setattr__(self, "_log_k", log_k)
         # math.log, as in log_knu: np.log may round differently
         object.__setattr__(self, "_log_knu", np.fromiter(map(math.log, vals), float) + log_k)
 
@@ -112,7 +114,7 @@ class ConjugateSpec:
         v = self.envelope(float(p))
         if math.isinf(v):
             return math.inf
-        return math.log(v) + math.log(self.norm_factor)
+        return math.log(v) + self._log_k
 
 
 def _optimal_exponent(spec: ConjugateSpec, logx: float) -> float:
@@ -124,12 +126,14 @@ def _optimal_exponent(spec: ConjugateSpec, logx: float) -> float:
     """
     grid = spec.p_grid
     obj_grid = grid * (spec._log_knu - logx)
+    env, log_k = spec.envelope, spec._log_k
 
     def objective(p: float) -> float:
-        lk = spec.log_knu(p)
-        if math.isinf(lk):
+        # spec.log_knu(p) inlined: this runs about 50 times per tail
+        v = env(p)
+        if math.isinf(v):
             return math.inf
-        return p * (lk - logx)
+        return p * ((math.log(v) + log_k) - logx)
 
     p_best, v_best = bracketed_min(objective, grid, obj_grid)
 
@@ -158,13 +162,21 @@ def _optimal_exponent(spec: ConjugateSpec, logx: float) -> float:
     return p_best
 
 
+def _threshold(x: float) -> float:
+    x = float(x)
+    if x != x:
+        raise EnvelopeDomainError("tail threshold must not be NaN")
+    return x
+
+
 def log_tail_from_envelope(spec: ConjugateSpec, x: float) -> float:
     """Natural log of the conjugate tail bound (0 where the bound is vacuous).
 
     Stays meaningful where the probability itself underflows, e.g. for
-    growth envelopes at large thresholds.
+    growth envelopes at large thresholds.  A NaN threshold raises
+    :class:`EnvelopeDomainError`.
     """
-    x = float(x)
+    x = _threshold(x)
     return _log_tail(spec, math.log(x)) if x > _E else 0.0
 
 
@@ -190,7 +202,7 @@ def tail_inf_form(spec: ConjugateSpec, x: float) -> float:
     differ only by floating-point evaluation of the algebraically identical
     formulas.
     """
-    x = float(x)
+    x = _threshold(x)
     if x <= _E:
         return 1.0
     p_star = _optimal_exponent(spec, math.log(x))
@@ -221,7 +233,7 @@ class ConjugateTail(TailBound):
         env = self.spec.envelope
         if not isinstance(env, Tabulated):
             return (1.0,)
-        log_moments = env.p_grid * (np.log(env.values) + math.log(self.spec.norm_factor))
+        log_moments = env.p_grid * (np.log(env.values) + self.spec._log_k)
         return (1.0, *(np.diff(log_moments) / np.diff(env.p_grid)).tolist())
 
 

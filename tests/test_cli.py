@@ -497,6 +497,7 @@ class TestMalformedInput:
             (["envelope", "eval", "--name", "ps_r0", "--p", "2"], "ps_r0"),
             (["envelope", "eval", "--name", "ind4", "--p", "1:2:0"], "1:2:0"),
             (["tail", "--name", "ind4", "--x", "5:6:0"], "5:6:0"),
+            (["tail", "--name", "ps_r6", "--x", "nan"], "NaN"),
             (["zeta", "--inputs", "ps_r6,ps_r8", "--grid", "1:2:0"], "1:2:0"),
         ],
     )

@@ -217,6 +217,19 @@ class TestDistributions:
         assert d.mean() == pytest.approx(0.0)
         assert d.variance() == pytest.approx(0.5)
 
+    def test_custom_quantiles_compare_by_identity(self):
+        # equal flags, different quantiles: each gets its own cached
+        # (loc, scale) and its own natural table
+        one = CustomQuantile(quantile=lambda u: u ** -0.25, boundary=4.0, centered=True)
+        two = CustomQuantile(quantile=lambda u: 2 * u ** -0.25, boundary=4.0, centered=True)
+        assert one != two and one == one
+        assert cell_loc_scale(one, False)[0] == pytest.approx(4.0 / 3.0, rel=1e-12)
+        assert cell_loc_scale(two, False)[0] == pytest.approx(8.0 / 3.0, rel=1e-12)
+        # |2X - 8/3| = 2 |X - 4/3|
+        table_one = natural_envelope(one, "common_independent", points=17)
+        table_two = natural_envelope(two, "common_independent", points=17)
+        assert np.allclose(table_two.values, 2.0 * table_one.values, rtol=1e-9)
+
 
 class TestSampling:
     def test_single_rademacher(self):

@@ -59,6 +59,16 @@ class TestConjugateTail:
         assert tail_from_envelope(spec, 2.0) == 1.0
         assert tail_from_envelope(spec, math.e) == 1.0
 
+    def test_nan_threshold_raises_and_inf_gives_zero(self):
+        from polymoment import log_tail_from_envelope
+
+        spec = ConjugateSpec(Indicator(r=4))
+        for form in (tail_from_envelope, tail_inf_form, log_tail_from_envelope):
+            with pytest.raises(EnvelopeDomainError, match="NaN"):
+                form(spec, math.nan)
+        assert tail_from_envelope(spec, math.inf) == tail_inf_form(spec, math.inf) == 0.0
+        assert log_tail_from_envelope(spec, math.inf) == -math.inf
+
     def test_non_increasing(self):
         spec = ConjugateSpec(Indicator(r=4))
         xs = [3.0, 5.0, 10.0, 50.0, 200.0]
