@@ -482,8 +482,8 @@ class TailBound:
 
     def __call__(self, x: float) -> float:
         v = self._raw(float(x))
-        if v != v:  # NaN guard
-            raise ValueError("tail bound evaluated to NaN")
+        if v != v or x != x:  # a NaN threshold or bound is an error, not a probability
+            raise ValueError(f"tail bound evaluated to NaN at x={x}")
         return min(1.0, max(0.0, v))
 
 
@@ -508,12 +508,6 @@ class RegularVariationTail(TailBound):
     @property
     def pareto_index(self) -> float:
         return self.r
-
-    def _raw(self, x: float) -> float:
-        if x <= 1.0:
-            return 1.0
-        lx = math.log(x)
-        return x ** (-self.r) * lx ** self.gamma * self.slowvar(lx)
 
     def log_tail(self, s: float) -> float:
         if s <= 0.0:
@@ -583,14 +577,13 @@ class TabulatedTail(TailBound):
         return tuple(self._log_nodes[0])
 
     def log_tail(self, s: float) -> float:
-        xs, vals = self.x_grid, self.values
-        if s <= math.log(xs[0]):
+        log_first, log_last, log_value = self._log_ends
+        if s <= log_first:
             return 0.0
-        if s >= math.log(xs[-1]):
-            idx = self.pareto_index
-            if vals[-1] == 0.0 or math.isinf(idx):
+        if s >= log_last:
+            if log_value == -math.inf:
                 return -math.inf
-            return math.log(vals[-1]) - idx * (s - math.log(xs[-1]))
+            return log_value - self.pareto_index * (s - log_last)
         return interp1(*self._log_nodes, s)
 
     @cached_property
@@ -600,6 +593,14 @@ class TabulatedTail(TailBound):
         with np.errstate(divide="ignore"):
             logv = np.where(vals > 0, np.log(np.maximum(vals, 1e-300)), -math.inf)
         return np.log(self.x_grid).tolist(), logv.tolist()
+
+    @cached_property
+    def _log_ends(self) -> Tuple[float, float, float]:
+        """``math.log`` (``np.log`` may round differently) of both grid ends and of the
+        last value, -inf where the tail is 0 beyond the grid (no value or no decay)."""
+        xs, last = self.x_grid, self.values[-1]
+        zero = last == 0.0 or math.isinf(self.pareto_index)
+        return math.log(xs[0]), math.log(xs[-1]), -math.inf if zero else math.log(last)
 
 
 # Double-exponential quadrature (Takahasi & Mori, Publ. RIMS 9, 1974).  Each

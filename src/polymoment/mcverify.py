@@ -22,7 +22,6 @@ import json
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -40,6 +39,7 @@ from .polymodel import (
     CoefficientTensor,
     PolynomialModel,
     Sampler,
+    _map_batches,
     _stream,
     _window,
     batch_plan,
@@ -278,45 +278,29 @@ def _sweep_tensors(sampler: Sampler, count: int, seed: int):
     return labels, sampler.flat_rows(tuples), matrix
 
 
-def _batch_statistics(plan: ExperimentPlan, sampler: Sampler, b: int, size: int, sweep) -> Dict:
-    """Sufficient statistics (sums of |Q|^p, tail exceedance counts) for one batch."""
-    factors = sampler.factors(sampler.cells(plan.seed, b, size))
-    q = sampler.q(factors, running_max=plan.experiment == "doob")
-    aq = np.abs(q)
-    powers = np.array([np.sum(aq ** p) for p in plan.p_grid])
-    tails = np.array([np.count_nonzero(aq >= x) for x in plan.x_grid], dtype=float)
-    out = {"powers": powers, "tails": tails, "count": size}
-    if sweep is not None:
-        _, rows, matrix = sweep
-        qs = np.abs(matrix @ sampler.products(factors, rows))  # (tensors, size)
-        out["sweep"] = np.stack([np.sum(qs ** p, axis=1) for p in plan.p_grid], axis=1)
-    return out
+def _batch_sums(sampler: Sampler, seed: int, b: int, size: int, ps, xs=(), running_max=False, sweep=None):
+    """Batch ``b``'s sums of |Q|^p for each p of ``ps``, its counts of |Q| >= x for each
+    x of ``xs`` and, with a sweep, the (tensors, p) sums of each tensor's |Q|^p."""
+    factors = sampler.factors(sampler.cells(seed, b, size))
+    aq = np.abs(sampler.q(factors, running_max=running_max))
+    powers = np.array([np.sum(aq ** p) for p in ps])
+    tails = np.array([np.count_nonzero(aq >= x) for x in xs], dtype=float)
+    if sweep is None:
+        return powers, tails, None
+    _, rows, matrix = sweep
+    qs = np.abs(matrix @ sampler.products(factors, rows))  # (tensors, size)
+    return powers, tails, np.stack([np.sum(qs ** p, axis=1) for p in ps], axis=1)
 
 
-def _gather_batches(plan: ExperimentPlan, sampler: Sampler, sweep) -> List[Dict]:
-    sizes = batch_plan(plan.replications)
-    if plan.threads > 1:
-        with ThreadPoolExecutor(max_workers=plan.threads) as pool:
-            futures = [
-                pool.submit(_batch_statistics, plan, sampler, b, size, sweep)
-                for b, size in enumerate(sizes)
-            ]
-            return [f.result() for f in futures]
-    return [_batch_statistics(plan, sampler, b, size, sweep) for b, size in enumerate(sizes)]
-
-
-def _moment_rows(plan: ExperimentPlan, stats: List[Dict], bound_env) -> List[MomentRow]:
-    total = float(sum(s["count"] for s in stats))
-    sums = np.sum([s["powers"] for s in stats], axis=0)
-    batch_means = np.array([s["powers"] / s["count"] for s in stats])
-    counts = [s["count"] for s in stats]
+def _moment_rows(plan: ExperimentPlan, powers: np.ndarray, sizes: List[int], bound_env) -> List[MomentRow]:
+    means = np.sum(powers, axis=0) / float(plan.replications)
+    batch_means = powers / np.array(sizes)[:, None]
     rows = []
-    for j, p in enumerate(plan.p_grid):
+    for p, m, batch_mean in zip(plan.p_grid, means, batch_means.T):
         p = float(p)
-        m = sums[j] / total
         if not math.isfinite(m):
             raise NumericFailure(f"non-finite power mean at p={p}")
-        est = _moment_estimate(m, batch_means[:, j], counts, p)
+        est = _moment_estimate(m, batch_mean, sizes, p)
         bound = float(bound_env(p))
         ratio = est.value / bound if bound > 0 and math.isfinite(bound) else math.inf
         passed = (est.value - 2.0 * est.stderr) <= bound
@@ -324,26 +308,18 @@ def _moment_rows(plan: ExperimentPlan, stats: List[Dict], bound_env) -> List[Mom
     return rows
 
 
-def _tail_section(plan: ExperimentPlan, stats: List[Dict], bound_env):
+def _tail_section(plan: ExperimentPlan, tails: np.ndarray, bound_env):
     if not plan.x_grid:
         return (), {}
-    total = float(sum(s["count"] for s in stats))
-    counts = np.sum([s["tails"] for s in stats], axis=0)
-    emp = counts / total
+    total = float(plan.replications)
+    emp = np.sum(tails, axis=0) / total
     se = np.sqrt(emp * (1.0 - emp) / total)
-    spec = ConjugateSpec(bound_env, norm_factor=plan.tail_norm_factor)
-    bound_tail = ConjugateTail(spec)
-    rescale = 1.0
-    fitted = False
-    if plan.fit_tail_rescale and emp[0] > 0.0:
-        rescale = fit_tail_rescale(bound_tail, plan.x_grid[0], float(emp[0]))
-        fitted = True
+    bound_tail = ConjugateTail(ConjugateSpec(bound_env, norm_factor=plan.tail_norm_factor))
+    fitted = bool(plan.fit_tail_rescale and emp[0] > 0.0)
+    rescale = fit_tail_rescale(bound_tail, plan.x_grid[0], float(emp[0])) if fitted else 1.0
     lookup = {float(x): (float(e), float(s)) for x, e, s in zip(plan.x_grid, emp, se)}
-    report = dominance_check(
-        bound_tail, lambda x: lookup[float(x)], plan.x_grid, rescale=rescale
-    )
-    meta = {"tail_rescale": rescale, "tail_rescale_fitted": fitted}
-    return report.rows, meta
+    report = dominance_check(bound_tail, lambda x: lookup[float(x)], plan.x_grid, rescale=rescale)
+    return report.rows, {"tail_rescale": rescale, "tail_rescale_fitted": fitted}
 
 
 def _run(plan: ExperimentPlan) -> VerificationReport:
@@ -351,18 +327,19 @@ def _run(plan: ExperimentPlan) -> VerificationReport:
     bound_env = plan.bound_envelope
     sampler = Sampler(plan.model, plan.window)
     sweep = _sweep_tensors(sampler, plan.b_sweep, plan.seed) if plan.b_sweep else None
-    stats = _gather_batches(plan, sampler, sweep)
-    rows = _moment_rows(plan, stats, bound_env)
-    tail_rows, tail_meta = _tail_section(plan, stats, bound_env)
+    batch = functools.partial(_batch_sums, sampler, plan.seed, ps=plan.p_grid, xs=plan.x_grid,
+                              running_max=plan.experiment == "doob", sweep=sweep)
+    sizes = batch_plan(plan.replications)
+    powers, tails, sweeps = map(np.array, zip(*_map_batches(batch, sizes, plan.threads)))
+    rows = _moment_rows(plan, powers, sizes, bound_env)
+    tail_rows, tail_meta = _tail_section(plan, tails, bound_env)
 
     sweep_section = None
     if sweep is not None:
-        labels, _, _ = sweep
-        total = float(sum(s["count"] for s in stats))
-        sums = np.sum([s["sweep"] for s in stats], axis=0)  # (tensors, p)
-        values = (sums / total) ** (1.0 / plan.p_grid[None, :])
+        sums = np.sum(sweeps, axis=0)  # (tensors, p)
+        values = (sums / float(plan.replications)) ** (1.0 / plan.p_grid[None, :])
         sweep_section = {
-            "labels": labels,
+            "labels": sweep[0],
             "p_grid": [float(p) for p in plan.p_grid],
             "values": values.tolist(),
             "max_over_tensors": values.max(axis=0).tolist(),
@@ -448,26 +425,16 @@ def convergence_diagnostics(
     if any(b <= a for a, b in zip(schedule, schedule[1:])) or len(schedule) < 2:
         raise ValueError("schedule must be strictly increasing with >= 2 points")
     p = float(p)
-    batch_sums: List[float] = []
-    batch_counts: List[int] = []
-    estimates: List[float] = []
-    stderrs: List[float] = []
-    done = 0
-    global_batch = 0
-    sampler = Sampler(model)
-    for target in schedule:
-        need = target - done
-        for size in batch_plan(need):
-            q = sampler.q(sampler.factors(sampler.cells(seed, global_batch, size)))
-            batch_sums.append(float(np.sum(np.abs(q) ** p)))
-            batch_counts.append(size)
-            global_batch += 1
-        done = target
-        total = float(sum(batch_counts))
-        m = sum(batch_sums) / total
-        est = _moment_estimate(m, np.array(batch_sums) / np.array(batch_counts), batch_counts, p)
-        estimates.append(est.value)
-        stderrs.append(est.stderr)
+    # each segment's batches keep their global numbers and sizes
+    segments = [batch_plan(hi - lo) for lo, hi in zip([0] + schedule, schedule)]
+    sizes = [size for segment in segments for size in segment]
+    batch = functools.partial(_batch_sums, Sampler(model), seed, ps=[p])
+    sums = [float(powers[0]) for powers, _, _ in _map_batches(batch, sizes)]
+    ests = []  # one per prefix, from the same Python sums as a running loop
+    for end in np.cumsum([len(segment) for segment in segments]):
+        m = sum(sums[:end]) / float(sum(sizes[:end]))
+        ests.append(_moment_estimate(m, np.array(sums[:end]) / np.array(sizes[:end]), sizes[:end], p))
+    estimates, stderrs = [e.value for e in ests], [e.stderr for e in ests]
 
     logs_n = np.log(np.array(schedule, dtype=float))
     logs_v = np.log(np.maximum(np.array(estimates), 1e-300))

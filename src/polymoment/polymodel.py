@@ -30,9 +30,10 @@ import math
 import numbers
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from math import comb
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.random  # numpy loads it lazily: load it here, not at the first draw
@@ -567,12 +568,6 @@ class Rademacher(InputDistribution):
     def atoms(self) -> Tuple[np.ndarray, np.ndarray]:
         return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
 
-    def raw_abs_moment(self, p: float) -> float:
-        return 1.0
-
-    def signed_moment(self, k: int) -> float:
-        return 0.0 if k % 2 else 1.0
-
 
 @dataclass(frozen=True, eq=False)
 class CustomQuantile(InputDistribution):
@@ -836,6 +831,15 @@ def batch_plan(replications: int) -> List[int]:
     size = min(65536, max(1024, -(-replications // TARGET_BATCHES)))
     full, rest = divmod(replications, size)
     return [size] * full + ([rest] if rest else [])
+
+
+def _map_batches(fn: Callable[[int, int], object], sizes: Sequence[int], threads: int = 1) -> Iterable:
+    """``fn(b, size)`` for batch ``b`` of each size, in batch order: lazily on one
+    thread, else all submitted to a pool of ``threads`` and gathered before it shuts down."""
+    if threads == 1:
+        return map(fn, range(len(sizes)), sizes)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, range(len(sizes)), sizes))
 
 
 def _window(model: PolynomialModel, window: Optional[Tuple[int, int]]) -> Tuple[int, int]:
@@ -1113,8 +1117,10 @@ def iter_q_batches(
 ) -> Iterator[np.ndarray]:
     """Yield batches of realisations; the partition is a pure function of the count."""
     sampler = Sampler(model, window)
-    for b, size in enumerate(batch_plan(replications)):
-        yield sampler.q(sampler.factors(sampler.cells(seed, b, size)), running_max)
+    yield from _map_batches(
+        lambda b, size: sampler.q(sampler.factors(sampler.cells(seed, b, size)), running_max),
+        batch_plan(replications),
+    )
 
 
 def sample_cells(
@@ -1122,12 +1128,9 @@ def sample_cells(
 ) -> np.ndarray:
     """Materialise transformed cells, shape (replications, n, slots)."""
     sampler = Sampler(model)
-    return np.concatenate(
-        [
-            sampler.cells(seed, b, size).transpose(2, 0, 1)
-            for b, size in enumerate(batch_plan(replications))
-        ]
-    )
+    return np.concatenate(list(_map_batches(
+        lambda b, size: sampler.cells(seed, b, size).transpose(2, 0, 1), batch_plan(replications)
+    )))
 
 
 def sample_Q(model: PolynomialModel, seed: int, replications: int) -> np.ndarray:

@@ -30,6 +30,7 @@ from .envelope import (
     EnvelopeDomainError,
     MomentEnvelope,
     RegularVariationTail,
+    Scaled,
     SlowlyVarying,
     Tabulated,
     TailBound,
@@ -230,10 +231,12 @@ class ConjugateTail(TailBound):
     def kinks(self) -> Tuple[float, ...]:
         # vacuous up to s = 1; over a table, which is linear in (p, p log nu),
         # the bound is piecewise linear in s and bends at the chord slopes
-        env = self.spec.envelope
+        env, log_k = self.spec.envelope, self.spec._log_k
+        while isinstance(env, Scaled):  # a scaled table: its factors join the norm factor
+            env, log_k = env.inner, log_k + math.log(env.factor)
         if not isinstance(env, Tabulated):
             return (1.0,)
-        log_moments = env.p_grid * (np.log(env.values) + self.spec._log_k)
+        log_moments = env.p_grid * (np.log(env.values) + log_k)
         return (1.0, *(np.diff(log_moments) / np.diff(env.p_grid)).tolist())
 
 

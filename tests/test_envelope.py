@@ -297,10 +297,17 @@ class TestMomentsFromTail:
             logv = np.where(vals > 0, np.log(np.maximum(vals, 1e-300)), -math.inf)
         for s in np.linspace(0.1, 6.8, 97):
             assert tail.log_tail(float(s)) == float(np.interp(s, np.log(xs), logv))
+        # the end logs too: vacuous below the grid, the fitted decay beyond it
+        for s in np.linspace(-2.0, 0.0, 9):
+            assert tail.log_tail(float(s)) == 0.0
+        for s in np.linspace(math.log(xs[-1]), 12.0, 17):
+            want = math.log(vals[-1]) - tail.pareto_index * (s - math.log(xs[-1]))
+            assert tail.log_tail(float(s)) == want
 
     def test_quadrature_roundoff_is_not_a_warning(self):
-        # QUADPACK reports roundoff near this boundary moment; it is returned,
-        # not warned, so no process-global warning filter is needed
+        # at its tail index this moment's integrand decays only like s^(-2.5)
+        # in s = log x; the double-exponential rule still meets its tolerance
+        # there and warns of nothing, so no process-global warning filter is needed
         tail = RegularVariationTail(r=4, gamma=-2.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -21,7 +21,7 @@ from polymoment import (
     run_experiment,
     variance_of_Q,
 )
-from polymoment.mcverify import auto_p_grid, plan_from_config, plan_to_config
+from polymoment.mcverify import DRIFT_SLOPE, auto_p_grid, plan_from_config, plan_to_config
 from polymoment.cli import load_config
 from polymoment.polymodel import ConfigError, model_from_config
 
@@ -327,6 +327,49 @@ class TestConvergenceDiagnostics:
         model = rademacher_model(2, 3)
         rep = convergence_diagnostics(model, 2.0, [2000, 8000, 32000], seed=1)
         assert not rep.drifting
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("p", [2.5, 3.5])
+    def test_matches_a_running_loop_bit_for_bit(self, p, seed):
+        # criterion 08's model and the head of its schedule: each segment is
+        # its own batch_plan, its batches numbered on from the previous one,
+        # and each prefix's estimate comes from running Python sums
+        from polymoment.envelope import _moment_estimate
+        from polymoment.polymodel import Sampler, batch_plan
+
+        model = PolynomialModel(
+            2, 10, CoefficientTensor.uniform(1, 10),
+            DependenceRegime("common_independent"),
+            (ParetoPower(6.0, centered=True, standardized=True),),
+            multiplicities=(2,),
+        )
+        schedule = [20000, 80000, 320000]
+        sampler = Sampler(model)
+        batch_sums, batch_counts, estimates, stderrs = [], [], [], []
+        done = global_batch = 0
+        for target in schedule:
+            for size in batch_plan(target - done):
+                q = sampler.q(sampler.factors(sampler.cells(seed, global_batch, size)))
+                batch_sums.append(float(np.sum(np.abs(q) ** p)))
+                batch_counts.append(size)
+                global_batch += 1
+            done = target
+            m = sum(batch_sums) / float(sum(batch_counts))
+            est = _moment_estimate(
+                m, np.array(batch_sums) / np.array(batch_counts), batch_counts, p
+            )
+            estimates.append(est.value)
+            stderrs.append(est.stderr)
+        logs_n = np.log(np.array(schedule, dtype=float))
+        logs_v = np.log(np.maximum(np.array(estimates), 1e-300))
+        slope = float(np.polyfit(logs_n, logs_v, 1)[0])
+
+        rep = convergence_diagnostics(model, p, schedule, seed=seed)
+        assert rep.estimates == tuple(estimates)
+        assert rep.stderrs == tuple(stderrs)
+        assert rep.slope == slope
+        moved = estimates[-1] - estimates[0] > 2.0 * stderrs[-1]
+        assert rep.drifting == (slope > DRIFT_SLOPE and moved)
 
     def test_schedule_validation(self):
         model = rademacher_model(2, 3)

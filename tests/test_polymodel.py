@@ -754,6 +754,20 @@ class TestSharedSampler:
         one = run_experiment(flat_plan(model, reps=30000, seed=2, threads=1))
         assert many.result_payload() == one.result_payload()
 
+    def test_iter_q_batches_draws_one_batch_at_a_time(self, monkeypatch):
+        drawn = []
+        cells = Sampler.cells
+
+        def counted(sampler, seed, b, size):
+            drawn.append((b, size))
+            return cells(sampler, seed, b, size)
+
+        monkeypatch.setattr(Sampler, "cells", counted)
+        model = common_model(2, 5, [ParetoPower(6.0), ParetoPower(8.0)])
+        first = next(iter_q_batches(model, 7, 10 ** 6))
+        assert drawn == [(0, batch_plan(10 ** 6)[0])]
+        assert first.shape == (batch_plan(10 ** 6)[0],)
+
 
 class TestReferenceIdentity:
     @staticmethod

@@ -7,14 +7,20 @@ from polymoment import (
     ConjugateSpec,
     ConjugateTail,
     Indicator,
+    ParetoPower,
     PowerGrowth,
     PowerSingularity,
     RegularVariationTail,
+    Scaled,
     SlowlyVarying,
     Tabulated,
+    TabulatedTail,
+    WeibullTail,
+    doob_maximal_envelope,
     dominance_check,
     fit_tail_rescale,
     moments_from_tail,
+    natural_envelope,
     regular_variation_tail,
     tabulate_envelope,
     tail_from_envelope,
@@ -168,6 +174,18 @@ class TestRegularVariationTail:
         with pytest.raises(ValueError):
             regular_variation_tail(4.0, 0.0, None, 2.0)
 
+    def test_nan_threshold_raises(self):
+        # every tail kind, also those that take their values from log_tail
+        tails = [
+            RegularVariationTail(r=4.0), WeibullTail(), TabulatedTail([1.0, 10.0], [1.0, 0.1]),
+            ConjugateTail(ConjugateSpec(Indicator(r=4))),
+        ]
+        for tail in tails:
+            with pytest.raises(ValueError, match="NaN"):
+                tail(math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            regular_variation_tail(4.0, 0.0, None, math.nan)
+
     def test_slowly_varying_factor(self):
         L = SlowlyVarying.log_power(1.0)
         x = 100.0
@@ -279,3 +297,23 @@ class TestMomentTailSandwich:
             assert moments_from_tail(conj, p) == pytest.approx(want ** (1.0 / p), rel=1e-10)
         assert moments_from_tail(conj, 3.8) == pytest.approx(16.79, rel=1e-3)
         assert moments_from_tail(conj, 3.9) == pytest.approx(39.01, rel=1e-3)
+
+    def test_scaled_table_is_its_table_with_a_norm_factor(self):
+        # the tail over a scaled table bends where the table's does, with the
+        # factor's log in the norm factor; undeclared, the rule does not converge
+        table = natural_envelope(ParetoPower(6.0), "common_independent", points=65)
+        for p in (2.0, 4.0, 5.0):
+            want = moments_from_tail(ConjugateTail(ConjugateSpec(table, norm_factor=2.0)), p)
+            got = moments_from_tail(ConjugateTail(ConjugateSpec(Scaled(table, 2.0))), p)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True, raises=FloatingPointError,
+        reason="p/(p-1) bends the log-moment curve between the table's nodes, so the"
+        " tail's breaks are the one-sided slopes at the nodes, which kinks() does not declare",
+    )
+    def test_doob_table(self):
+        table = natural_envelope(ParetoPower(6.0), "common_independent", points=65)
+        conj = ConjugateTail(ConjugateSpec(doob_maximal_envelope(table)))
+        for p in (2.0, 4.0, 5.0):
+            assert moments_from_tail(conj, p) > 0
