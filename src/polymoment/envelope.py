@@ -284,7 +284,7 @@ class Tabulated(MomentEnvelope):
     support: SupportInterval = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        ps = np.asarray(self.p_grid, dtype=float)
+        ps = np.array(self.p_grid, dtype=float)
         if ps.ndim != 1 or ps.size < 2:
             raise ValueError("tabulated envelope needs at least two grid points")
         if not np.all(np.diff(ps) > 0):
@@ -293,11 +293,13 @@ class Tabulated(MomentEnvelope):
             raise ValueError("grid must start at an exponent >= 1")
         if self.upper is not None and self.upper < ps[-1]:
             raise ValueError("declared upper endpoint lies inside the grid")
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)
         if vals.shape != ps.shape:
             raise ValueError("grid and values must have identical shape")
         if np.any(~np.isfinite(vals)) or np.any(vals <= 0):
             raise ValueError("tabulated values must be finite and positive")
+        # read-only copies: a caller's writes must not part them from the arrays derived here
+        ps.flags.writeable = vals.flags.writeable = False
         object.__setattr__(self, "p_grid", ps)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_log_moments", ps * np.log(vals))
@@ -548,8 +550,8 @@ class TabulatedTail(TailBound):
     values: np.ndarray = None
 
     def __post_init__(self):
-        xs = np.asarray(self.x_grid, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
+        xs, vals = np.array(self.x_grid, dtype=float), np.array(self.values, dtype=float)
+        xs.flags.writeable = vals.flags.writeable = False  # read-only copies, as a Tabulated's
         if xs.ndim != 1 or xs.size < 2:
             raise ValueError("tabulated tail needs at least two grid points")
         if vals.shape != xs.shape:
@@ -609,6 +611,7 @@ class TabulatedTail(TailBound):
 # in steps of 1/64 on [-4.25, 4.25]: y then spans centre -+ 35.  The sum is
 # checked against the one at steps of 1/32 and against its end terms.
 _DE_S = np.arange(-272, 273) / 64.0
+_DE_SINH = np.sinh(_DE_S)
 _DE_LOG_COSH = np.log(np.cosh(_DE_S))
 # the y grid on which each row's centre, its integrand's largest mass per
 # unit y, is found
@@ -635,14 +638,15 @@ def _de_nodes(y: np.ndarray, a: float, b: float):
 def de_integrals(log_f: Callable, breaks: Sequence[float], orders: Sequence[float]) -> np.ndarray:
     """``int exp(log_f(t, rows)) dt`` over each piece between consecutive ``breaks``, one row per order.
 
-    ``log_f(t, rows)`` maps nodes ``t`` of the orders ``orders[rows]`` (a
-    slice), shape (1, k) or (len(rows), k), to the log of the integrand,
-    shape (1, k) or (len(rows), k); -inf is a zero.  Only the first break may
-    be -inf and only the last +inf.  Each row's nodes are centred where its
-    integrand carries the most mass per unit y, so a decay as slow as
-    ``e^(-t/1000)`` and a peak as narrow as ``t^128 e^(-t)`` both take the
-    same 545 nodes.  Rows go in blocks of ``DE_BLOCK``, which bounds the
-    arrays.  Returns a (pieces, rows) array.
+    ``log_f(t, rows)`` maps nodes ``t`` of shape (1, k) to the log of the
+    integrand of the orders ``orders[rows]``, shape (1, k) or (len(rows), k),
+    where ``rows`` is an index array (callers read ``ps[rows, None]``); -inf
+    is a zero.  Only the first break may be -inf and only the last +inf.
+    Each row's nodes are centred where its integrand carries the most mass
+    per unit y, so a decay as slow as ``e^(-t/1000)`` and a peak as narrow
+    as ``t^128 e^(-t)`` both take the same 545 nodes.  Rows that share a
+    centre share their nodes, and go in blocks of ``DE_BLOCK``, which bounds
+    the arrays.  Returns a (pieces, rows) array.
 
     Raises :class:`InfiniteMomentQuadError`, naming the order, when a term
     overflows, and ``FloatingPointError`` when a row's half-step sums
@@ -650,26 +654,30 @@ def de_integrals(log_f: Callable, breaks: Sequence[float], orders: Sequence[floa
     """
     out = np.empty((len(breaks) - 1, len(orders)))
     err = np.zeros(len(orders))
+    centres = np.empty(len(orders))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lo in range(0, len(orders), DE_BLOCK):
-            rows = slice(lo, min(lo + DE_BLOCK, len(orders)))
-            shape = (rows.stop - lo, _DE_S.size)
-            for i, (a, b) in enumerate(zip(breaks, breaks[1:])):
-                t, log_dt = _de_nodes(_DE_PROBE, a, b)
-                mass = np.broadcast_to(log_f(t[None, :], rows) + log_dt, (shape[0], t.size))
-                centre = _DE_PROBE[np.argmax(mass, axis=1)]
-                t, log_dt = _de_nodes(centre[:, None] + np.sinh(_DE_S), a, b)
-                logs = np.broadcast_to(log_f(t, rows) + log_dt + _DE_LOG_COSH, shape)
-                over = np.flatnonzero(np.any(logs > 700.0, axis=1))
-                if over.size:
-                    raise InfiniteMomentQuadError(
-                        f"moment integrand overflows at order p={orders[lo + over[0]]}; "
-                        "the moment diverges"
-                    )
-                terms = np.exp(logs) / 64.0
-                out[i, rows] = terms.sum(axis=1)
-                err[rows] += (np.abs(2.0 * terms[:, ::2].sum(axis=1) - out[i, rows])
-                              + terms[:, 0] + terms[:, -1])
+        for i, (a, b) in enumerate(zip(breaks, breaks[1:])):
+            t, log_dt = _de_nodes(_DE_PROBE, a, b)
+            for lo in range(0, len(orders), DE_BLOCK):
+                rows = np.arange(lo, min(lo + DE_BLOCK, len(orders)))
+                mass = np.broadcast_to(log_f(t[None, :], rows) + log_dt, (rows.size, t.size))
+                centres[rows] = _DE_PROBE[np.argmax(mass, axis=1)]
+            for centre in sorted(set(centres.tolist())):
+                t, log_dt = _de_nodes(centre + _DE_SINH, a, b)
+                group = np.flatnonzero(centres == centre)
+                for lo in range(0, group.size, DE_BLOCK):
+                    rows = group[lo:lo + DE_BLOCK]
+                    logs = log_f(t[None, :], rows) + log_dt + _DE_LOG_COSH
+                    logs = np.broadcast_to(logs, (rows.size, t.size))
+                    over = np.flatnonzero(np.any(logs > 700.0, axis=1))
+                    if over.size:
+                        raise InfiniteMomentQuadError(
+                            f"moment integrand overflows at order p={orders[rows[over[0]]]}; "
+                            "the moment diverges"
+                        )
+                    terms = np.exp(logs) / 64.0
+                    out[i, rows] = total = terms.sum(axis=1)
+                    err[rows] += np.abs(2.0 * terms[:, ::2].sum(axis=1) - total) + terms[:, 0] + terms[:, -1]
     bad = np.flatnonzero(~(err <= DE_REL_TOL * np.abs(out).sum(axis=0)))
     if bad.size:
         raise FloatingPointError(

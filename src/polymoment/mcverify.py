@@ -94,14 +94,22 @@ def natural_zeta_chain(
     The inputs' moment norms against their natural envelopes are exactly one,
     so the chain's final stage is directly comparable with empirical moments.
     ``scale`` multiplies every input envelope (useful to deliberately break a
-    bound when testing failure paths).
+    bound when testing failure paths).  Models that differ only in n or in
+    their coefficients share one cached chain.
     """
     if model.multiplicities is not None:
         raise ValueError("chains apply to multilinear models; got a polynomial model")
     envs = [natural_envelope(dist, model.regime.tag) for dist in model.distributions]
     if scale != 1.0:
         envs = [Scaled(e, scale) for e in envs]
-    return zeta_chain(model.regime, envs, p_grid=p_grid, points=points)
+    grid = None if p_grid is None else tuple(np.asarray(p_grid, dtype=float).tolist())
+    return _chain_on_tables(model.regime, tuple(envs), grid, points)
+
+
+@functools.lru_cache(maxsize=64)
+def _chain_on_tables(regime, envs: tuple, p_grid: Optional[tuple], points: int) -> ZetaChain:
+    """The chain of ``envs``: a table is keyed by identity, a ``Scaled`` wrapper by value."""
+    return zeta_chain(regime, envs, p_grid=p_grid, points=points)
 
 
 # the default auto grid stays strictly below this fraction of the moment

@@ -26,6 +26,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ._optim import bracketed_min, chebyshev_grid, golden_min
+from .calculus import DoobMaximal
 from .envelope import (
     EnvelopeDomainError,
     MomentEnvelope,
@@ -232,12 +233,19 @@ class ConjugateTail(TailBound):
         # vacuous up to s = 1; over a table, which is linear in (p, p log nu),
         # the bound is piecewise linear in s and bends at the chord slopes
         env, log_k = self.spec.envelope, self.spec._log_k
+        doob = isinstance(env, DoobMaximal)
+        env = env.inner if doob else env
         while isinstance(env, Scaled):  # a scaled table: its factors join the norm factor
             env, log_k = env.inner, log_k + math.log(env.factor)
         if not isinstance(env, Tabulated):
             return (1.0,)
-        log_moments = env.p_grid * (np.log(env.values) + log_k)
-        return (1.0, *(np.diff(log_moments) / np.diff(env.p_grid)).tolist())
+        ps = env.p_grid
+        slopes = np.diff(ps * (np.log(env.values) + log_k)) / np.diff(ps)
+        if doob:  # + p log(p/(p-1)), smooth: the bends are each node's one-sided slopes
+            with np.errstate(divide="ignore", invalid="ignore"):  # its slope at p = 1 is not finite
+                dh = np.log(ps / (ps - 1.0)) - 1.0 / (ps - 1.0)
+            slopes = np.concatenate([slopes + dh[:-1], slopes + dh[1:]])
+        return (1.0, *slopes[np.isfinite(slopes)].tolist())
 
 
 def regular_variation_tail(

@@ -104,6 +104,23 @@ class TestEvaluation:
             assert env(4.0) == math.inf
             assert env.evaluable_upper() == (4.0, False)
 
+    def test_tables_keep_read_only_copies(self):
+        # a table derives cached arrays from its values; a later write by the
+        # caller must reach neither, or its values and its bound would part
+        grid, vals = np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 2.0, 4.0, 8.0])
+        env = Tabulated(grid, vals)
+        before = env(2.5)
+        vals[2], grid[0] = 30.0, 0.5
+        assert env.values.tolist() == [1.0, 2.0, 4.0, 8.0] and env.p_grid[0] == 1.0
+        assert env(2.5) == before and env.values_at([2.5])[0] == before
+        xs, tail_vals = np.array([1.0, 10.0, 100.0]), np.array([1.0, 0.1, 0.01])
+        tail = TabulatedTail(xs, tail_vals)
+        tail_vals[1] = 0.5  # before the first call, which builds the tail's logs
+        assert tail(10.0) == pytest.approx(0.1, rel=1e-12)
+        for table in (env, tail):
+            with pytest.raises(ValueError, match="read-only"):
+                table.values[0] = 2.0
+
     def test_product_support_intersection(self):
         env = Product((Indicator(r=3), Indicator(r=5)))
         assert env.support.upper == 3.0

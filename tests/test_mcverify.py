@@ -248,6 +248,50 @@ class TestRunExperiment:
         assert single > uniform
 
 
+class TestChainCache:
+    """A natural chain depends on the regime, the input tables, the grid and
+    ``points`` only, so it is built once for every model that shares them."""
+
+    def test_models_differing_in_n_share_one_chain(self):
+        import dataclasses
+
+        tensor = CoefficientTensor.random_unit(2, 20, np.random.default_rng(0))
+        for tag in ("common_independent", "martingale"):
+            short = pareto_model([6.0, 8.0], 5, tag=tag)
+            long = dataclasses.replace(short, n=20, coefficients=tensor)
+            grid = auto_p_grid(short, points=5, frac=0.9)
+            chain = natural_zeta_chain(short, p_grid=grid)
+            assert natural_zeta_chain(long, p_grid=grid) is chain
+            assert natural_zeta_chain(long, p_grid=grid.tolist()) is chain
+            assert natural_zeta_chain(short, scale=2.0) is natural_zeta_chain(long, scale=2.0)
+
+    def test_anything_else_builds_another_chain(self):
+        from polymoment.polymodel import _tabulate_natural
+
+        model = pareto_model([6.0, 8.0], 5, tag="martingale")
+        grid = auto_p_grid(model, points=5, frac=0.9)
+        chain = natural_zeta_chain(model, p_grid=grid)
+        # the vector regime and the reversed direction take the same tables
+        vector = pareto_model([6.0, 8.0], 5, tag="vector_independent")
+        reverse = PolynomialModel(2, 5, model.coefficients, DependenceRegime("martingale", "reverse"),
+                                  model.distributions)
+        others = [
+            natural_zeta_chain(vector, p_grid=grid),
+            natural_zeta_chain(reverse, p_grid=grid),
+            natural_zeta_chain(model, p_grid=grid[:-1]),
+            natural_zeta_chain(model),
+            natural_zeta_chain(model, points=129),
+            natural_zeta_chain(model, p_grid=grid, scale=2.0),
+        ]
+        assert len({id(c) for c in [chain, *others]}) == 7
+        assert all(c.inputs == chain.inputs for c in others[:2])
+        # a cleared table cache builds new tables, and so a new chain
+        _tabulate_natural.cache_clear()
+        rebuilt = natural_zeta_chain(model, p_grid=grid)
+        assert rebuilt is not chain and rebuilt.inputs[0] is not chain.inputs[0]
+        assert rebuilt.bound.values.tobytes() == chain.bound.values.tobytes()
+
+
 class TestDoob:
     def test_path_enumeration_oracle(self):
         model = rademacher_model(1, 8, tag="common_independent")

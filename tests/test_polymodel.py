@@ -1538,6 +1538,68 @@ class TestDoubleExponentialRule:
         with pytest.raises(InfiniteMomentQuadError, match="order p=3.0") as err:
             de_integrals(lambda t, rows: (ps[rows, None] / 2.0 - 1.0) * t, [0.0, math.inf], ps)
         assert isinstance(err.value, OverflowError) and isinstance(err.value, InfiniteMomentError)
+        # 70 orders span three blocks, and the converging ones below 2 have
+        # centres of their own
+        ps = np.linspace(1.0, 5.0, 70)
+        with pytest.raises(InfiniteMomentQuadError, match=f"order p={ps[ps > 2.0][0]};"):
+            de_integrals(lambda t, rows: (ps[rows, None] / 2.0 - 1.0) * t, [0.0, math.inf], ps)
+
+    def test_rows_sharing_a_centre_keep_the_blockwise_bits(self, monkeypatch):
+        from polymoment import polymodel, stratified_moment
+        from polymoment.polymodel import _moments, _tabulate_natural
+
+        calls = []
+        shared = polymodel.de_integrals
+
+        def both(log_f, breaks, orders):
+            got = shared(log_f, breaks, orders)
+            want = _blockwise_de_integrals(log_f, breaks, orders)
+            calls.append(got.tobytes() == want.tobytes())
+            return got
+
+        monkeypatch.setattr(polymodel, "de_integrals", both)
+        kinked = LogPerturbedPareto(6.0, 0.5, SlowlyVarying.log_power(1.0), centered=True)
+        tables = [
+            ParetoPower(4.5, centered=True, standardized=True),
+            ParetoPower(6.0, centered=True, standardized=True),
+            ParetoPower(6.0, centered=True),
+            ParetoPower(8.0, centered=True, standardized=True),
+            Weibull(0.5, centered=True),
+            LogPowerOnly(2.0, centered=True),
+            kinked,
+        ]
+        _tabulate_natural.cache_clear()
+        cell_loc_scale.cache_clear()
+        for dist in tables:
+            natural_envelope(dist, "common_independent")
+        _moments(kinked, [1.0, 2.0, 3.0, 4.5], loc=kinked.mean(), signed=True)
+        stratified_moment(kinked, 3.0, 1000, 0)
+        assert len(calls) >= len(tables) + 2 and all(calls)
+
+
+def _blockwise_de_integrals(log_f, breaks, orders):
+    """``de_integrals`` as it was before rows shared their nodes: each block of
+    ``DE_BLOCK`` rows took every row's own nodes, a slice for its rows."""
+    from polymoment.envelope import _DE_LOG_COSH, _DE_PROBE, _DE_S, DE_BLOCK, _de_nodes
+
+    out = np.empty((len(breaks) - 1, len(orders)))
+    err = np.zeros(len(orders))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo in range(0, len(orders), DE_BLOCK):
+            rows = slice(lo, min(lo + DE_BLOCK, len(orders)))
+            shape = (rows.stop - lo, _DE_S.size)
+            for i, (a, b) in enumerate(zip(breaks, breaks[1:])):
+                t, log_dt = _de_nodes(_DE_PROBE, a, b)
+                mass = np.broadcast_to(log_f(t[None, :], rows) + log_dt, (shape[0], t.size))
+                centre = _DE_PROBE[np.argmax(mass, axis=1)]
+                t, log_dt = _de_nodes(centre[:, None] + np.sinh(_DE_S), a, b)
+                logs = np.broadcast_to(log_f(t, rows) + log_dt + _DE_LOG_COSH, shape)
+                terms = np.exp(logs) / 64.0
+                out[i, rows] = terms.sum(axis=1)
+                err[rows] += (np.abs(2.0 * terms[:, ::2].sum(axis=1) - out[i, rows])
+                              + terms[:, 0] + terms[:, -1])
+    assert np.all(err <= 1e-12 * np.abs(out).sum(axis=0))
+    return out
 
 
 class TestEnvelopeCache:
