@@ -1,10 +1,8 @@
-"""Numerical helpers: scan-and-golden-section minimisation, scalar interpolation
-and Chebyshev grids."""
+"""Numerical helpers: scan-and-golden-section minimisation and Chebyshev grids."""
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
@@ -46,30 +44,6 @@ def golden_min(
     if yc < yd:
         return c, yc
     return d, yd
-
-
-def interp1(xs: Sequence[float], ys: Sequence[float], x: float) -> float:
-    """``float(np.interp(x, xs, ys))`` bit for bit, on lists of Python floats.
-
-    numpy's one-point formula without its dispatch: the end value at or beyond
-    an end, the node value at a node, else ``slope * (x - xs[j]) + ys[j]``;
-    where that is NaN (a ``-inf`` node), the line through ``xs[j + 1]``, then
-    ``ys[j]`` if both node values are equal.
-    """
-    if x != x:
-        return x
-    j = bisect_right(xs, x) - 1
-    if j < 0:
-        return ys[0]
-    if j == len(xs) - 1 or xs[j] == x:
-        return ys[j]
-    slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
-    y = slope * (x - xs[j]) + ys[j]
-    if y != y:
-        y = slope * (x - xs[j + 1]) + ys[j + 1]
-        if y != y and ys[j] == ys[j + 1]:
-            y = ys[j]
-    return y
 
 
 def golden_min_rows(f: Callable, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray):

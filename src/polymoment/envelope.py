@@ -34,8 +34,6 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._optim import interp1
-
 __all__ = [
     "EnvelopeDomainError",
     "InfiniteMomentError",
@@ -313,16 +311,10 @@ class Tabulated(MomentEnvelope):
         end = float(self.p_grid[-1])
         return end, self.support.contains(end)
 
-    @cached_property
-    def _nodes(self) -> Tuple[list, list]:
-        # lists for interp1, built at the first scalar call
-        return self.p_grid.tolist(), self._log_moments.tolist()
-
     def _value(self, p: float) -> float:
-        ps, log_moments = self._nodes
-        if p < ps[0] or p > ps[-1]:
+        if p > self.p_grid[-1]:  # inside a declared upper, beyond the grid
             return math.inf
-        return math.exp(interp1(ps, log_moments, p) / p)
+        return math.exp(np.interp(p, self.p_grid, self._log_moments) / p)
 
     def values_at(self, ps) -> np.ndarray:
         # one array interpolation; math.exp per element, since np.exp may
@@ -576,7 +568,7 @@ class TabulatedTail(TailBound):
         return max(-slope, 0.0)
 
     def kinks(self) -> Tuple[float, ...]:
-        return tuple(self._log_nodes[0])
+        return tuple(self._log_nodes[0].tolist())
 
     def log_tail(self, s: float) -> float:
         log_first, log_last, log_value = self._log_ends
@@ -586,15 +578,15 @@ class TabulatedTail(TailBound):
             if log_value == -math.inf:
                 return -math.inf
             return log_value - self.pareto_index * (s - log_last)
-        return interp1(*self._log_nodes, s)
+        return float(np.interp(s, *self._log_nodes))
 
     @cached_property
-    def _log_nodes(self) -> Tuple[list, list]:
-        """The logs of the grid and of the values (-inf at 0), as lists for :func:`interp1`."""
+    def _log_nodes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The logs of the grid and of the values (-inf at 0)."""
         vals = self.values
         with np.errstate(divide="ignore"):
             logv = np.where(vals > 0, np.log(np.maximum(vals, 1e-300)), -math.inf)
-        return np.log(self.x_grid).tolist(), logv.tolist()
+        return np.log(self.x_grid), logv
 
     @cached_property
     def _log_ends(self) -> Tuple[float, float, float]:

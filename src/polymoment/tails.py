@@ -88,6 +88,7 @@ class ConjugateSpec:
     p_grid: Optional[np.ndarray] = None
     _log_k: float = field(init=False, default=None, repr=False)
     _log_knu: np.ndarray = field(init=False, default=None, repr=False)
+    _lines: Optional["_NodeLines"] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if not (self.norm_factor > 0):
@@ -111,6 +112,12 @@ class ConjugateSpec:
         object.__setattr__(self, "_log_k", log_k)
         # math.log, as in log_knu: np.log may round differently
         object.__setattr__(self, "_log_knu", np.fromiter(map(math.log, vals), float) + log_k)
+        env, doob = self.envelope, isinstance(self.envelope, DoobMaximal)
+        env = env.inner if doob else env
+        while isinstance(env, Scaled):  # a scaled table: its factors join the norm factor
+            env, log_k = env.inner, log_k + math.log(env.factor)
+        if isinstance(env, Tabulated) and grid.size > 1:
+            object.__setattr__(self, "_lines", _NodeLines(env, grid, log_k, doob))
 
     def log_knu(self, p: float) -> float:
         v = self.envelope(float(p))
@@ -119,23 +126,61 @@ class ConjugateSpec:
         return math.log(v) + self._log_k
 
 
+class _NodeLines:
+    """A table's ``c = p log(k nu(p))`` at its nodes ``ps`` strictly inside the
+    grid's ends and at those ends, affine between them: the conjugate objective
+    ``c - p s`` is lowest on one node's line.  The Doob factor adds the convex
+    ``h(p) = p log(p/(p-1))``: a segment whose slope changes sign inside has its
+    own minimum, where ``h'(p) = log(1 + u) - u = s - slope``, ``u = 1/(p-1)``.
+    """
+
+    def __init__(self, table: Tabulated, grid: np.ndarray, log_k: float, doob: bool):
+        lo, hi, g = grid[0], grid[-1], table.p_grid
+        ps = self.ps = np.concatenate([[lo], g[(g > lo) & (g < hi)], [hi]])
+        c = self.c = np.interp(ps, g, table._log_moments) + ps * log_k
+        self.slopes, self.doob, self.intercepts = np.diff(c) / np.diff(ps), doob, c
+        self.bends = (self.slopes,)  # the s where the lowest line changes
+        if doob:  # h at the nodes, and the objective's slopes at each segment's ends
+            u = 1.0 / (ps - 1.0)
+            self.intercepts, dh = c + ps * np.log1p(u), np.log1p(u) - u
+            self.bends = self.slopes + dh[:-1], self.slopes + dh[1:]
+
+    def minimum(self, s: float) -> Tuple[float, float]:
+        """The optimal exponent and the objective there, at ``s = log x``."""
+        obj = self.intercepts - self.ps * s
+        i = int(np.argmin(obj))
+        p_best, best = float(self.ps[i]), float(obj[i])
+        inner = np.flatnonzero((self.bends[0] < s) & (s < self.bends[1])) if self.doob else ()
+        for j in inner:
+            # Newton from the segment's left end, its largest u: log(1 + u) - u
+            # is concave and falls, so each step lowers u and stays above the
+            # root, until roundoff stops it
+            t, u, w = s - float(self.slopes[j]), math.inf, 1.0 / (float(self.ps[j]) - 1.0)
+            while w < u:
+                u, w = w, w + (math.log1p(w) - w - t) * (1.0 + w) / w
+            p = min(1.0 + 1.0 / u, float(self.ps[j + 1]))
+            v = float(self.c[j] + self.slopes[j] * (p - self.ps[j])) + p * (math.log1p(u) - s)
+            if v < best:
+                p_best, best = p, v
+        return p_best, best
+
+
 def _optimal_exponent(spec: ConjugateSpec, logx: float) -> float:
     """Exponent minimising ``p (log k nu(p) - logx)`` over the supplied range.
 
-    Grid scan and golden polish (:func:`bracketed_min`), plus an expanding
-    search above the grid when the scan's first minimum is its top point and
-    the envelope remains finite there (growth envelopes at large x).
+    A table's lowest node line (:class:`_NodeLines`); else a grid scan and golden
+    polish (:func:`bracketed_min`), plus an expanding search above the grid when
+    the scan's first minimum is its top point and the envelope remains finite
+    there (growth envelopes at large x).
     """
+    if spec._lines is not None:
+        return spec._lines.minimum(logx)[0]
     grid = spec.p_grid
     obj_grid = grid * (spec._log_knu - logx)
-    env, log_k = spec.envelope, spec._log_k
 
     def objective(p: float) -> float:
-        # spec.log_knu(p) inlined: this runs about 50 times per tail
-        v = env(p)
-        if math.isinf(v):
-            return math.inf
-        return p * ((math.log(v) + log_k) - logx)
+        log_knu = spec.log_knu(p)
+        return math.inf if math.isinf(log_knu) else p * (log_knu - logx)
 
     p_best, v_best = bracketed_min(objective, grid, obj_grid)
 
@@ -184,6 +229,8 @@ def log_tail_from_envelope(spec: ConjugateSpec, x: float) -> float:
 
 def _log_tail(spec: ConjugateSpec, logx: float) -> float:
     """:func:`log_tail_from_envelope` at ``x = e^logx > e``, also where x overflows a float."""
+    if spec._lines is not None:
+        return min(0.0, spec._lines.minimum(logx)[1])
     p_star = _optimal_exponent(spec, logx)
     return min(0.0, p_star * (spec.log_knu(p_star) - logx))
 
@@ -230,22 +277,9 @@ class ConjugateTail(TailBound):
         return _log_tail(self.spec, s) if s > 1.0 else 0.0
 
     def kinks(self) -> Tuple[float, ...]:
-        # vacuous up to s = 1; over a table, which is linear in (p, p log nu),
-        # the bound is piecewise linear in s and bends at the chord slopes
-        env, log_k = self.spec.envelope, self.spec._log_k
-        doob = isinstance(env, DoobMaximal)
-        env = env.inner if doob else env
-        while isinstance(env, Scaled):  # a scaled table: its factors join the norm factor
-            env, log_k = env.inner, log_k + math.log(env.factor)
-        if not isinstance(env, Tabulated):
-            return (1.0,)
-        ps = env.p_grid
-        slopes = np.diff(ps * (np.log(env.values) + log_k)) / np.diff(ps)
-        if doob:  # + p log(p/(p-1)), smooth: the bends are each node's one-sided slopes
-            with np.errstate(divide="ignore", invalid="ignore"):  # its slope at p = 1 is not finite
-                dh = np.log(ps / (ps - 1.0)) - 1.0 / (ps - 1.0)
-            slopes = np.concatenate([slopes + dh[:-1], slopes + dh[1:]])
-        return (1.0, *slopes[np.isfinite(slopes)].tolist())
+        # vacuous up to s = 1; over a table the bound bends where its lowest line changes
+        lines = self.spec._lines
+        return (1.0, *(np.concatenate(lines.bends).tolist() if lines is not None else ()))
 
 
 def regular_variation_tail(

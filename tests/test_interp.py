@@ -1,10 +1,10 @@
-"""Scalar interpolation against ``np.interp``, bit for bit.
+"""Scalar interpolation against array ``np.interp``, bit for bit.
 
-Every scalar call of a ``Tabulated`` envelope and every ``TabulatedTail``
-call inside its grid interpolate with ``_optim.interp1`` on lists of Python
-floats instead of a one-point ``np.interp``.  It must return numpy's own
-bits, including the NaN fallback that tables holding ``-inf`` reach, so the
-conjugate tails fitted in a verification do not move.
+A scalar call of a ``Tabulated`` envelope must equal ``values_at``, and a
+``TabulatedTail`` inside its grid the log-log ``np.interp`` of its values,
+including the NaN fallback that tables holding ``-inf`` (zero values) reach.
+The conjugate tails fitted in a verification must not depend on the scalar
+path.
 """
 
 import functools
@@ -14,8 +14,14 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from polymoment import ConjugateSpec, ConjugateTail, Tabulated, fit_tail_rescale, tail_from_envelope
-from polymoment._optim import interp1
+from polymoment import (
+    ConjugateSpec,
+    ConjugateTail,
+    Tabulated,
+    TabulatedTail,
+    fit_tail_rescale,
+    tail_from_envelope,
+)
 from polymoment.cli import load_config
 from polymoment.mcverify import plan_from_config
 from polymoment.polymodel import ParetoPower, Weibull, model_from_config, natural_envelope
@@ -43,7 +49,7 @@ def bits(values):
 
 
 def old_value(env, p):
-    """``Tabulated._value`` as it was: a one-point ``np.interp``."""
+    """``Tabulated._value`` as a one-point ``np.interp``."""
     ps = env.p_grid
     if p < ps[0] or p > ps[-1]:
         return math.inf
@@ -62,34 +68,26 @@ def probe_points(xs, rng, count=400):
     ])
 
 
-def assert_matches_np_interp(xs, ys, points):
-    xl, yl = np.asarray(xs, float).tolist(), np.asarray(ys, float).tolist()
-    got = bits([interp1(xl, yl, x) for x in points.tolist()])
-    want = bits([float(np.interp(x, xs, ys)) for x in points])
-    bad = np.flatnonzero(got != want)
-    assert bad.size == 0, [(points[i], xs, ys) for i in bad[:3]]
-
-
-class TestInterp1:
-    def test_bound_tables(self):
-        rng = np.random.default_rng(0)
-        tables = bound_tables()
-        assert len(tables) >= 6
-        for env in tables:
-            assert_matches_np_interp(env.p_grid, env._log_moments, probe_points(env.p_grid, rng))
-
-    def test_random_tables_with_minus_inf(self):
-        # numpy's NaN fallback: -inf next to a finite node, and two -inf nodes
+class TestTabulatedTail:
+    def test_equals_log_log_np_interp(self):
+        # zero values are -inf logs: numpy's NaN fallback next to a finite
+        # node, and between two of them
         rng = np.random.default_rng(1)
         for i in range(300):
-            xs = np.unique(rng.uniform(-5.0, 5.0, int(rng.integers(2, 12))))
+            xs = np.unique(rng.uniform(0.5, 50.0, int(rng.integers(2, 12))))
             if xs.size < 2:
                 continue
-            ys = 10.0 * rng.normal(size=xs.size)
-            ys[rng.random(xs.size) < 0.4] = -math.inf
+            vals = np.exp(-rng.uniform(0.0, 8.0, xs.size))
+            vals[rng.random(xs.size) < 0.4] = 0.0
             if i % 10 == 0:
-                ys[:2] = -math.inf
-            assert_matches_np_interp(xs, ys, probe_points(xs, rng, count=40))
+                vals[:2] = 0.0
+            tail = TabulatedTail(xs, vals)
+            with np.errstate(divide="ignore"):
+                logs = np.log(xs), np.log(vals)
+            s = probe_points(logs[0], rng, count=40)
+            s = s[(s > logs[0][0]) & (s < logs[0][-1])]
+            got = bits([tail.log_tail(float(v)) for v in s])
+            assert np.array_equal(got, bits([float(np.interp(v, *logs)) for v in s])), (xs, vals)
 
 
 class TestTabulatedScalarCall:

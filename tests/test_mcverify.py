@@ -1,11 +1,17 @@
+import contextlib
+import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import polymoment
 from polymoment import (
     CoefficientTensor,
     CustomQuantile,
@@ -489,3 +495,49 @@ class TestReports:
         assert "unserializable" in cfg["bound"]
         with pytest.raises(ConfigError, match="plan.bound"):
             plan_from_config(cfg, model)
+
+
+
+_MARTINGALE_PAYLOAD = """
+import json
+from polymoment.cli import load_config
+from polymoment.mcverify import plan_from_config, run_experiment
+from polymoment.polymodel import model_from_config
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+cfg = load_config(None, "pareto_d2_martingale")
+report = run_experiment(plan_from_config(dict(cfg["plan"]), model_from_config(cfg["model"])))
+print(json.dumps({"avx512": bool(__cpu_features__.get("AVX512_SKX")),
+                  "payload": report.result_payload()}))
+"""
+
+
+def test_payload_agrees_across_simd_dispatch():
+    # numpy's AVX-512 kernels round differently from its other kernels, so
+    # payloads are bit-identical only per host class; with those kernels off,
+    # as on a host without them, counts and verdicts agree and moments nearly
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(_MARTINGALE_PAYLOAD, {})
+    here = json.loads(out.getvalue())
+    if not here["avx512"]:
+        pytest.skip("no AVX-512 kernels to disable on this host")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+           "PYTHONPATH": os.path.dirname(os.path.dirname(polymoment.__file__))}
+    run = subprocess.run([sys.executable, "-c", _MARTINGALE_PAYLOAD], env=env,
+                         capture_output=True, text=True, timeout=300)
+    if run.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in run.stderr:
+        pytest.skip(f"numpy rejects the variable: {run.stderr.strip().splitlines()[-1]}")
+    assert run.returncode == 0, run.stderr
+    there = json.loads(run.stdout)
+    if there["avx512"]:
+        pytest.skip("numpy ignores the variable on this build")
+    a, b = here["payload"], there["payload"]
+    assert [row[1] for row in a["tails"]] == [row[1] for row in b["tails"]]  # empirical tails
+    assert [row[-1] for row in a["tails"]] == [row[-1] for row in b["tails"]]
+    assert [row[-1] for row in a["moments"]] == [row[-1] for row in b["moments"]]
+    for ra, rb in zip(a["moments"] + a["tails"], b["moments"] + b["tails"]):
+        assert len(ra) == len(rb)
+        np.testing.assert_allclose(ra[:-1], rb[:-1], rtol=1e-12, atol=0.0)

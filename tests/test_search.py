@@ -1,14 +1,17 @@
 """The composition search and the conjugate-tail optimiser against the
-scalar searches they replaced.
+scalar searches they replaced, and conjugate tails of tables against their
+exact form.
 
 ``otimes`` and the conjugate-tail optimiser used to run their own copies of
 the scan, first-minimum bracket and golden-section polish.  Those copies are
 kept verbatim, the composition's in ``scalar_search`` and the tails' below.
-The tails must give bit-identical results from the same sequence of envelope
-evaluations.  Composition is one lockstep search over whole exponent grids
-(``_otimes_grid``, with ``otimes`` a one-row call of it), evaluated through
-``values_at``; it must give the scalar search's values and splits bit for
-bit at every exponent.
+Over closed-form envelopes the tails must give bit-identical results from
+the same sequence of envelope evaluations.  Over a table the tail is the
+lowest of its node lines: it must equal a brute minimum over them, and lie
+no higher than the search.  Composition is one lockstep search over whole
+exponent grids (``_otimes_grid``, with ``otimes`` a one-row call of it),
+evaluated through ``values_at``; it must give the scalar search's values and
+splits bit for bit at every exponent.
 """
 
 import math
@@ -18,6 +21,7 @@ import pytest
 
 from polymoment import (
     ConjugateSpec,
+    ConjugateTail,
     Indicator,
     PowerGrowth,
     PowerSingularity,
@@ -26,6 +30,7 @@ from polymoment import (
     SlowlyVarying,
     Tabulated,
     combined_exponent,
+    log_tail_from_envelope,
     otimes,
     tail_from_envelope,
     tail_inf_form,
@@ -34,6 +39,7 @@ from polymoment import calculus
 from polymoment.calculus import DoobMaximal, _otimes_grid
 from polymoment.envelope import EnvelopeDomainError, MomentEnvelope
 from polymoment.polymodel import ParetoPower, Rademacher, natural_envelope
+from polymoment.tails import _optimal_exponent
 from scalar_search import ref_golden_min, ref_otimes
 
 # ---------------------------------------------------------------------------
@@ -166,8 +172,6 @@ def _tail_specs():
         ConjugateSpec(envs["growth"], p_grid=[5.0, 15.0, 21.0, 24.0]),
         ConjugateSpec(envs["product"]),
         ConjugateSpec(envs["scaled"], p_grid=[2.0]),
-        ConjugateSpec(envs["natural_pareto"]),
-        ConjugateSpec(envs["natural_signs"]),
     ]
 
 
@@ -192,6 +196,107 @@ def test_growth_tail_at_large_threshold_expands_above_the_grid():
     obj_grid = spec.p_grid * (spec._log_knu - math.log(1e6))
     assert int(np.argmin(obj_grid)) == spec.p_grid.size - 1
     assert ref_optimal_exponent(spec, 1e6) > 2.0 * spec.p_grid[-1]
+
+
+# ---------------------------------------------------------------------------
+# tables: the lowest node line
+# ---------------------------------------------------------------------------
+
+
+def _table_specs():
+    envs = _envelopes()
+    pareto = envs["natural_pareto"]
+    return {
+        "natural_pareto": ConjugateSpec(pareto),
+        "natural_signs": ConjugateSpec(envs["natural_signs"]),
+        "scaled_pareto": ConjugateSpec(Scaled(Scaled(pareto, 2.0), 0.7), norm_factor=1.3),
+        # grid ends between table nodes, and an optimum at the lower end for s > 1
+        "pareto_inside": ConjugateSpec(pareto, norm_factor=10.0, p_grid=[2.5, 3.7, 5.0]),
+        "doob_pareto": ConjugateSpec(DoobMaximal(Scaled(pareto, 1.5)), norm_factor=1.3),
+    }
+
+
+def node_lines(spec):
+    """The table's nodes strictly inside the spec's grid ends, and those ends, with
+    ``p log(k nu(p))`` there from scalar envelope calls, without the Doob factor."""
+    env = spec.envelope
+    doob = isinstance(env, DoobMaximal)
+    base = ConjugateSpec(env.inner if doob else env, spec.norm_factor, spec.p_grid)
+    table = base.envelope
+    while isinstance(table, Scaled):
+        table = table.inner
+    lo, hi = spec.p_grid[0], spec.p_grid[-1]
+    ps = np.array([lo, *(p for p in table.p_grid if lo < p < hi), hi])
+    return ps, np.array([p * base.log_knu(p) for p in ps]), doob
+
+
+def _thresholds(slopes, rng):
+    """``s = log x``: random, where the optimum is either grid end (below the
+    first chord slope, above the last), at every chord slope, and ``+-inf``."""
+    return [*rng.uniform(1.0, 60.0, 300), slopes[0] - 0.5, slopes[-1] + 1.0,
+            4.0 * slopes[-1], *slopes, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize(
+    "name", ["natural_pareto", "natural_signs", "scaled_pareto", "pareto_inside"])
+def test_table_tail_is_its_lowest_node_line(name):
+    spec = _table_specs()[name]
+    ps, c, _ = node_lines(spec)
+    for s in _thresholds(np.diff(c) / np.diff(ps), np.random.default_rng(7)):
+        got = log_tail_from_envelope(spec, math.exp(s))
+        lines = c - ps * s
+        want = min(0.0, lines.min()) if s > 1.0 else 0.0
+        scale = np.abs(c).max() + ps[-1] * abs(s)  # the size of the terms that cancel
+        assert got == want or abs(got - want) <= 1e-15 * scale, (s, got, want)
+        if math.isfinite(s) and s > 1.0:
+            # never above the grid scan and golden polish it replaced
+            p = ref_optimal_exponent(spec, math.exp(s))
+            old = min(0.0, p * (spec.log_knu(p) - s))
+            assert got <= old + 1e-13 * abs(old), (s, got, old)
+
+
+def test_doob_table_tail_is_at_most_a_dense_scan():
+    # under p/(p-1) the minimum may lie between nodes; thresholds at each
+    # segment's middle bend put it there
+    spec = _table_specs()["doob_pareto"]
+    ps, c, _ = node_lines(spec)
+    q = np.concatenate([np.linspace(a, b, 10_000) for a, b in zip(ps[:-1], ps[1:])])
+    inner = spec.envelope.inner
+    q_log_knu = q * (np.log(inner.values_at(q) * (q / (q - 1.0))) + math.log(spec.norm_factor))
+    bends = ConjugateTail(spec).kinks()[1:]
+    middles = 0.5 * (np.array(bends[: ps.size - 1]) + np.array(bends[ps.size - 1:]))
+    rng = np.random.default_rng(11)
+    for s in [*rng.uniform(1.0, 60.0, 20), *middles[middles > 1.0]]:
+        got = log_tail_from_envelope(spec, math.exp(s))
+        scan = min(0.0, (q_log_knu - q * s).min())
+        scale = np.abs(c).max() + ps[-1] * abs(s)
+        assert got <= scan + 1e-15 * scale, (s, got, scan)
+        # and attained: the optimal exponent's own Markov bound
+        p = _optimal_exponent(spec, s)
+        assert abs(min(0.0, p * (spec.log_knu(p) - s)) - got) <= 1e-15 * scale, (s, p, got)
+
+
+@pytest.mark.parametrize("name", list(_table_specs()))
+def test_table_tail_kinks_are_its_chord_slopes(name):
+    spec = _table_specs()[name]
+    ps, c, doob = node_lines(spec)
+    want = np.diff(c) / np.diff(ps)
+    if doob:  # each node's one-sided slopes: plus the slope of p log(p/(p-1))
+        dh = np.log(ps / (ps - 1.0)) - 1.0 / (ps - 1.0)
+        want = np.concatenate([want + dh[:-1], want + dh[1:]])
+    got = ConjugateTail(spec).kinks()
+    assert got[0] == 1.0 and all(type(k) is float for k in got)
+    np.testing.assert_allclose(got[1:], want, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", list(_table_specs()))
+def test_table_tail_rejects_a_nan_threshold(name):
+    spec = _table_specs()[name]
+    for form in (tail_from_envelope, tail_inf_form, log_tail_from_envelope):
+        with pytest.raises(EnvelopeDomainError, match="NaN"):
+            form(spec, math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        ConjugateTail(spec)(math.nan)
 
 
 # ---------------------------------------------------------------------------
