@@ -150,6 +150,7 @@ class OtimesResult(NamedTuple):
 
 _INSET = 1e-12  # relative inset from the open feasibility endpoints
 _SCAN = 64  # evenly spaced scan points over the split interval
+_BLOCK = 1 << 15  # elements of one row block's (rows x candidates) arrays
 
 
 def otimes(
@@ -161,13 +162,13 @@ def otimes(
     """Infimal Hoelder composition of two envelopes at exponent ``p``.
 
     Returns ``+inf`` when no feasible split exists, i.e. when
-    ``p >= (1/r1 + 1/r2)^(-1)`` for the two singularity exponents.  The
-    minimiser is located by a 64-point scan over the feasible interval
+    ``p >= (1/r1 + 1/r2)^(-1)`` for the two singularity exponents.  Two
+    tables compose exactly, at a breakpoint (:func:`_otimes_tables`); any
+    other pair by a 64-point scan over the feasible interval
     ``[p/r1, 1 - p/r2]`` followed by golden-section refinement; the
     objective can be non-convex for exotic slowly varying factors, so
-    bracket-then-refine is the robust choice.  This is a one-row call of the
-    stage-grid search :func:`_otimes_grid`, about 3-4 ms a call; chain stages
-    compose their whole exponent grids in one call of it.
+    bracket-then-refine is the robust choice.  This is a one-row call of
+    :func:`_otimes_grid`; chain stages compose whole grids in one call of it.
 
     With ``full_output=True`` returns an :class:`OtimesResult` carrying the
     minimising share ``a`` of the exponent routed to ``nu1``.
@@ -180,17 +181,15 @@ def otimes(
 def _otimes_grid(nu1: MomentEnvelope, nu2: MomentEnvelope, ps) -> Tuple[np.ndarray, np.ndarray]:
     """Values and minimising splits of ``nu1 (x) nu2`` at every exponent in ``ps``.
 
-    The search for each exponent: rows with load ``p/r1 + p/r2 >= 1`` or an
-    empty evaluable split interval are infeasible (value ``inf``, split NaN);
-    the rest scan 64 points inset from the interval ends (only its midpoint
-    when it is too narrow to inset), polish the first minimum of each row by
-    :func:`golden_min_rows` in lockstep, and keep a closed evaluable endpoint
-    where it is strictly better.  The split is the scan point, the polished
-    point, the midpoint or the endpoint kept, as a share routed to ``nu1``.
-    The split interval comes from the evaluable exponent ranges (tabulated
-    envelopes may declare a wider support than they can evaluate); splits
-    outside it are infinite anyway.  Envelopes are evaluated through
-    :meth:`MomentEnvelope.values_at`.
+    Rows with load ``p/r1 + p/r2 >= 1`` or an empty evaluable split interval
+    (from the evaluable exponent ranges: a table may declare a wider support)
+    are infeasible: value ``inf``, split NaN.  Two tables take the exact
+    minimum of :func:`_otimes_tables`, with split ``p/q1``.  Other pairs are
+    searched: each row scans 64 points inset from the interval ends (only its
+    midpoint when it is too narrow to inset), polishes its first minimum by
+    :func:`golden_min_rows` in lockstep, and keeps a closed evaluable endpoint
+    where it is strictly better.  The split, a share routed to ``nu1``, is the
+    point kept.  Envelopes are evaluated through :meth:`MomentEnvelope.values_at`.
     """
     ps = np.asarray(ps, dtype=float)
     bad = ps[~(np.isfinite(ps) & (ps >= 1.0))]
@@ -207,6 +206,11 @@ def _otimes_grid(nu1: MomentEnvelope, nu2: MomentEnvelope, ps) -> Tuple[np.ndarr
     a_lo = ps / r1 if math.isfinite(r1) else 0.0 * ps
     a_hi = 1.0 - (ps / r2 if math.isfinite(r2) else 0.0 * ps)
     rows = np.flatnonzero((load < 1.0) & (a_lo < a_hi))
+    values, splits = np.full(ps.shape, math.inf), np.full(ps.shape, math.nan)
+    if isinstance(nu1, Tabulated) and isinstance(nu2, Tabulated):
+        values[rows], q1, _ = _otimes_tables(nu1, nu2, ps[rows])
+        splits[rows] = ps[rows] / q1
+        return values, 1.0 - splits if swapped else splits
     p, a_lo, a_hi = ps[rows], a_lo[rows], a_hi[rows]
 
     def objective(i: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -249,9 +253,45 @@ def _otimes_grid(nu1: MomentEnvelope, nu2: MomentEnvelope, ps) -> Tuple[np.ndarr
             better = v < best[at]
             best[at] = np.where(better, v, best[at])
             split[at] = np.where(better, a_end[at], split[at])
-    values, splits = np.full(ps.shape, math.inf), np.full(ps.shape, math.nan)
     values[rows], splits[rows] = best, split
     return values, 1.0 - splits if swapped else splits
+
+
+def _otimes_tables(nu1: Tabulated, nu2: Tabulated, p: np.ndarray):
+    """Exact ``nu1 (x) nu2`` of two tables at each ``p``, and its exponents ``q1, q2``.
+
+    A table is linear in ``(1/q, log nu)`` between nodes, so the log objective is
+    piecewise linear in ``1/q1``: least at a node ``q`` of either table (an open end:
+    the search's inset point) paired with ``1/(1/p - 1/q)``, over the pairs inside
+    both evaluable ranges (none: inf, NaN).  Compared in log space in row blocks of
+    about ``_BLOCK`` elements; only each row's winner is evaluated, so it is attained.
+    """
+    tabs, ends = (nu1, nu2), (nu1.evaluable_upper(), nu2.evaluable_upper())
+    log_nu = lambda nu, q: np.interp(q, nu.p_grid, nu._log_moments) / q
+    q1, q2 = np.full(p.shape, math.nan), np.full(p.shape, math.nan)
+    step = max(1, _BLOCK // (nu1.p_grid.size + nu2.p_grid.size))
+    for s in range(0, p.size, step):
+        pb = p[s : s + step, None]
+        won, at = [], np.arange(pb.size)  # per table: each row's least log value, q1, q2
+        for j, (nu, (r, closed)) in enumerate(zip(tabs, ends)):
+            g, other, (r_o, closed_o) = nu.p_grid, tabs[1 - j], ends[1 - j]
+            q, logs = np.broadcast_to(g, (pb.size, g.size)), nu._log_moments / g
+            if not closed:  # as the search: the inset point, or the midpoint if nearer
+                q = q.copy()
+                q[:, -1:] = pb / np.minimum(pb / r + _INSET, 0.5 * (pb / r + 1.0 - pb / r_o))
+                logs = log_nu(nu, q)
+            with np.errstate(divide="ignore"):
+                q_o = 1.0 / (1.0 / pb - 1.0 / q)
+            ok = (q_o >= other.p_grid[0]) & ((q_o <= r_o) if closed_o else (q_o < r_o))
+            logs = np.where(ok, logs + log_nu(other, q_o), math.inf)
+            k = np.argmin(logs, axis=1)
+            pair = (q[at, k], q_o[at, k]) if j == 0 else (q_o[at, k], q[at, k])
+            won.append(np.stack([logs[at, k], *pair]))
+        w = np.where(won[1][0] < won[0][0], won[1], won[0])
+        q1[s : s + step], q2[s : s + step] = np.where(np.isfinite(w[0]), w[1:], math.nan)
+    best, fin = np.full(p.shape, math.inf), ~np.isnan(q1)
+    best[fin] = nu1.values_at(q1[fin]) * nu2.values_at(q2[fin])
+    return best, q1, q2
 
 
 # smallest end of a growth (infinite-exponent) stage grid
@@ -298,7 +338,7 @@ def otimes_chain(
 
     Intermediate stages are tabulated on their own partial-exponent grids so
     that later compositions can evaluate them anywhere in their feasible
-    range; each is composed in one lockstep search (:func:`_otimes_grid`).
+    range; each is one :func:`_otimes_grid` call, exact for two tables.
     A single-element list returns the envelope unchanged.  Raises
     :class:`ChainFeasibilityError` when the combined exponent is <= 1.
     """
@@ -342,8 +382,8 @@ def _compose_stages(
     reports its finite grid end as ``support.upper``.  Each stage is
     tabulated on its own partial-exponent grid (the last one on
     ``final_grid`` when given) and becomes ``acc`` for the next factor.
-    One :func:`_otimes_grid` call composes a stage's whole grid.  Returns the
-    stages in fold order.
+    One :func:`_otimes_grid` call composes a stage's whole grid, exact for
+    two tables.  Returns the stages in fold order.
     """
     p_max_hint = None if final_grid is None else float(final_grid[-1])
     stages = []

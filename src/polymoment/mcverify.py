@@ -74,7 +74,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 # the version of a report's numbers for a fixed (plan, seed); README's
 # "Reproducibility" says what each version changed
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 
 
 class NumericFailure(RuntimeError):

@@ -335,12 +335,12 @@ def fit_tail_rescale(
             return 1.0
     for _ in range(200):
         mid = math.sqrt(y_lo * y_hi)
+        if mid == y_lo or mid == y_hi:  # the ends are adjacent floats
+            break
         if bound(mid) > target:
             y_lo = mid
         else:
             y_hi = mid
-        if y_hi / y_lo < 1.0 + 1e-12:
-            break
     y_star = math.sqrt(y_lo * y_hi)
     return x_anchor / y_star
 

@@ -4,14 +4,17 @@
 first minimum and polish it by golden section, one exponent at a time.  The
 composition search is now one lockstep search over whole exponent grids
 (``calculus._otimes_grid``); these loops are the oracle it must match bit for
-bit, in value and split.  They also stand in for ``otimes`` wherever a test
-needs many single compositions: a one-row grid call costs several times the
-scalar loop.
+bit, in value and split, for every pair of envelopes that is not two tables.
+Two tables compose exactly at their breakpoints instead; ``ref_compose``
+takes that path for them, one exponent at a time, and this search for any
+other pair.  They also stand in for ``otimes`` wherever a test needs many
+single compositions: a one-row grid call costs several times the scalar loop.
 """
 
 import math
 
-from polymoment.calculus import OtimesResult
+from polymoment import Tabulated
+from polymoment.calculus import OtimesResult, otimes
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -111,3 +114,10 @@ def ref_otimes(nu1, nu2, p, coarse=64):
     if swapped and not math.isnan(res.split):
         res = OtimesResult(res.value, 1.0 - res.split)
     return res
+
+
+def ref_compose(nu1, nu2, p):
+    """The composition a chain stage takes at one exponent: exact for two tables, else searched."""
+    if isinstance(nu1, Tabulated) and isinstance(nu2, Tabulated):
+        return otimes(nu1, nu2, p, full_output=True)
+    return ref_otimes(nu1, nu2, p)

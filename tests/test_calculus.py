@@ -25,7 +25,7 @@ from polymoment import (
     tabulate_envelope,
     zeta_chain,
 )
-from scalar_search import ref_otimes
+from scalar_search import ref_compose
 
 
 def growth_closed_form(c1, mu1, c2, mu2, p):
@@ -302,6 +302,18 @@ class TestZetaChain:
             rev = zeta_chain(DependenceRegime(tag, "reverse"), [nu, nu, nu])
             assert np.array_equal(fwd.bound.values, rev.bound.values)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_reverse_equals_forward_for_equal_tables(self, d):
+        # equal natural tables compose exactly, at their breakpoints
+        from polymoment import ParetoPower, natural_envelope
+
+        nu = natural_envelope(ParetoPower(6.0), "martingale", points=65)
+        fwd = zeta_chain(DependenceRegime("martingale", "forward"), [nu] * d, points=65)
+        rev = zeta_chain(DependenceRegime("martingale", "reverse"), [nu] * d, points=65)
+        for got, want in zip(rev.stages, fwd.stages):
+            assert np.array_equal(got.p_grid, want.p_grid)
+            assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+
     def test_monotone_in_inputs(self):
         grid = np.linspace(1.1, 2.6, 7)
         nu1 = PowerSingularity(r=6, power=0.3)
@@ -481,7 +493,7 @@ class TestHoelderAndSharpness:
 
 
 def ref_otimes_chain(envs, p_grid=None, points=257):
-    """The left fold as its own loop (before otimes_chain shared the zeta fold), scalar search."""
+    """The left fold as its own loop (before otimes_chain shared the zeta fold), one exponent at a time."""
     from polymoment.calculus import _stage_grid
 
     envs = list(envs)
@@ -501,7 +513,7 @@ def ref_otimes_chain(envs, p_grid=None, points=257):
             grid = final_grid
         else:
             grid = _stage_grid(eff_acc, r_acc, points, p_max_hint, final=last)
-        vals = np.array([ref_otimes(acc, nxt, float(p)).value for p in grid])
+        vals = np.array([ref_compose(acc, nxt, float(p)).value for p in grid])
         assert np.all(np.isfinite(vals))
         acc = Tabulated(grid, vals, upper=r_acc if math.isfinite(r_acc) else None)
         eff_acc = acc.evaluable_upper()[0]
@@ -558,7 +570,7 @@ def ref_zeta_stages(regime, nus, points=257, p_grid=None):
         eff_acc = combined_exponent([stages[-1].evaluable_upper()[0], nxt.evaluable_upper()[0]])
         last = m == d - 1
         grid = final_grid if last else _stage_grid(eff_acc, r_acc, points, p_max_hint, final=False)
-        vals = np.array([K_M(p) * ref_otimes(stages[-1], nxt, float(p)).value for p in grid])
+        vals = np.array([K_M(p) * ref_compose(stages[-1], nxt, float(p)).value for p in grid])
         stages.append(stage(grid, vals, r_acc))
     return stages
 
@@ -581,7 +593,11 @@ FOLD_TAGS = ["martingale", "common_independent", "inside_independent", "vector_i
 
 
 class TestCompositionFold:
-    """otimes_chain and every zeta_chain stage are bit-identical to the separate loops."""
+    """otimes_chain and every zeta_chain stage are bit-identical to the separate loops.
+
+    The loops compose one exponent at a time (``ref_compose``): two tables by
+    their exact one-row composition, any other pair by the scalar search.
+    """
 
     @pytest.mark.parametrize("with_grid", [False, True])
     def test_otimes_chain(self, with_grid):

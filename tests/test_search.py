@@ -1,6 +1,6 @@
 """The composition search and the conjugate-tail optimiser against the
-scalar searches they replaced, and conjugate tails of tables against their
-exact form.
+scalar searches they replaced, two tables' exact composition against its
+contract, and conjugate tails of tables against their exact form.
 
 ``otimes`` and the conjugate-tail optimiser used to run their own copies of
 the scan, first-minimum bracket and golden-section polish.  Those copies are
@@ -8,10 +8,13 @@ kept verbatim, the composition's in ``scalar_search`` and the tails' below.
 Over closed-form envelopes the tails must give bit-identical results from
 the same sequence of envelope evaluations.  Over a table the tail is the
 lowest of its node lines: it must equal a brute minimum over them, and lie
-no higher than the search.  Composition is one lockstep search over whole
-exponent grids (``_otimes_grid``, with ``otimes`` a one-row call of it),
-evaluated through ``values_at``; it must give the scalar search's values and
-splits bit for bit at every exponent.
+no higher than the search.  Composition is one call over whole exponent
+grids (``_otimes_grid``, with ``otimes`` a one-row call of it), evaluated
+through ``values_at``.  For any pair that is not two tables it is a lockstep
+search that must give the scalar search's values and splits bit for bit at
+every exponent.  Two tables compose at the best of their breakpoints: the
+value must lie at or below the objective at any feasible split, be attained
+by its own exponent pair, and never lie above the scalar search.
 """
 
 import math
@@ -22,6 +25,8 @@ import pytest
 from polymoment import (
     ConjugateSpec,
     ConjugateTail,
+    DependenceRegime,
+    GrowthConstant,
     Indicator,
     PowerGrowth,
     PowerSingularity,
@@ -34,6 +39,7 @@ from polymoment import (
     otimes,
     tail_from_envelope,
     tail_inf_form,
+    zeta_chain,
 )
 from polymoment import calculus
 from polymoment.calculus import DoobMaximal, _otimes_grid
@@ -139,8 +145,16 @@ def _envelopes():
     }
 
 
-_NAMES = list(_envelopes())
-_PAIRS = [(a, b) for i, a in enumerate(_NAMES) for b in _NAMES[i:]]
+def _both_tables(a, b):
+    return isinstance(a, Tabulated) and isinstance(b, Tabulated)
+
+
+_ENVS = _envelopes()
+_NAMES = list(_ENVS)
+# two tables compose exactly, not by the search (their contract is further down)
+_PAIRS = [
+    (a, b) for i, a in enumerate(_NAMES) for b in _NAMES[i:] if not _both_tables(_ENVS[a], _ENVS[b])
+]
 
 
 @pytest.mark.parametrize("first,second", _PAIRS)
@@ -376,13 +390,152 @@ def test_compose_stages_match_scalar_fold(monkeypatch):
         Scaled(PowerSingularity(r=9.0, power=0.5), 1.5),
     ]
     got = calculus._compose_stages(envs[0], 6.0, envs[1:], None, 65)
-    monkeypatch.setattr(
-        calculus, "_otimes_grid",
-        lambda a, b, ps: (np.array([ref_otimes(a, b, p).value for p in ps]), None),
-    )
+    compose = calculus._otimes_grid
+
+    def one_at_a_time(a, b, ps):
+        # two tables by their one-row composition, any other pair by the scalar search
+        if _both_tables(a, b):
+            return np.array([compose(a, b, [p])[0][0] for p in ps]), None
+        return np.array([ref_otimes(a, b, p).value for p in ps]), None
+
+    monkeypatch.setattr(calculus, "_otimes_grid", one_at_a_time)
     want = calculus._compose_stages(envs[0], 6.0, envs[1:], None, 65)
     for g, w in zip(got, want):
         assert np.array_equal(g.p_grid, w.p_grid) and same_bits(g.values, w.values)
+
+
+# ---------------------------------------------------------------------------
+# two tables: the exact minimum over their breakpoints
+# ---------------------------------------------------------------------------
+
+
+def _table_pairs():
+    pareto, signs = _ENVS["natural_pareto"], _ENVS["natural_signs"]
+    pareto8 = natural_envelope(ParetoPower(8.0), "martingale", points=65)
+    stage = zeta_chain(DependenceRegime("martingale"), [pareto, pareto8], points=65).bound
+    return {
+        "pareto-pareto": (pareto, pareto),
+        "pareto-signs": (pareto, signs),
+        "signs-signs": (signs, signs),
+        "stage-pareto": (stage, pareto8),
+        # an open grid end, and a table that starts above 1 with a declared
+        # singularity beyond its grid
+        "open-pareto": (Tabulated([1.0, 2.0, 4.0], [1.0, 1.5, 3.0], upper_closed=False), pareto),
+        "late-signs": (Tabulated([1.5, 2.5, 4.0, 7.0], [1.1, 1.4, 2.2, 4.0], upper=9.0), signs),
+    }
+
+
+_TABLE_PAIRS = list(_table_pairs())
+
+
+def _table_grid(nu1, nu2):
+    """Interior exponents, exponents near the evaluable edge, and the grid points above."""
+    edge = combined_exponent([nu1.evaluable_upper()[0], nu2.evaluable_upper()[0]])
+    near = edge * (1.0 - np.array([1e-3, 1e-6, 1e-9, 1e-13]))
+    declared = combined_exponent([nu1.support.upper, nu2.support.upper])
+    return np.concatenate([np.linspace(1.0, edge, 41)[:-1], near, _grid_points(declared)])
+
+
+def _canonical(nu1, nu2):
+    return (nu2, nu1) if nu2.support.upper < nu1.support.upper else (nu1, nu2)
+
+
+@pytest.mark.parametrize("name", _TABLE_PAIRS)
+def test_table_composition_is_at_most_any_feasible_split(name):
+    nu1, nu2 = _table_pairs()[name]
+    rng = np.random.default_rng(7)
+    ps = _table_grid(nu1, nu2)
+    values = _otimes_grid(nu1, nu2, ps)[0]
+    (r1, closed1), (r2, closed2) = nu1.evaluable_upper(), nu2.evaluable_upper()
+    for p, value in zip(ps, values):
+        # 1/q1 over the interval where both exponents lie in their tables; an
+        # open end is approached no nearer than the inset point, as by the search
+        lo = max((1.0 if closed1 else 1.0 + 1e-12 * r1 / p) / r1, 1.0 / p - 1.0 / nu2.p_grid[0])
+        hi = min(1.0 / nu1.p_grid[0], 1.0 / p - (1.0 if closed2 else 1.0 + 1e-12 * r2 / p) / r2)
+        if not lo < hi:
+            continue
+        t = rng.uniform(lo, hi, 10_000)
+        objective = nu1.values_at(1.0 / t) * nu2.values_at(1.0 / (1.0 / p - t))
+        # roundoff: each pair meets 1/q1 + 1/q2 = 1/p to an ulp, which the
+        # log slope near a singular grid end (about 30) amplifies
+        assert value <= objective.min() * (1.0 + 1e-12), (p, value, objective.min())
+
+
+@pytest.mark.parametrize("name", _TABLE_PAIRS)
+def test_table_composition_is_attained(name):
+    nu1, nu2 = _canonical(*_table_pairs()[name])
+    ps = _table_grid(nu1, nu2)
+    values, splits = _otimes_grid(nu1, nu2, ps)
+    exact, q1, q2 = calculus._otimes_tables(nu1, nu2, ps)
+    fin = np.isfinite(values)
+    assert fin.sum() >= 40 and np.all(fin <= np.isfinite(exact))
+    assert same_bits(values[fin], exact[fin]) and same_bits(splits[fin], ps[fin] / q1[fin])
+    assert np.all(np.isnan(splits[~fin]))
+    for p, value, a, b in zip(ps[fin], values[fin], q1[fin], q2[fin]):
+        # a feasible Hoelder pair: finite scalar values, and 1/q1 + 1/q2 = 1/p to roundoff
+        assert nu1(a) * nu2(b) == value, (p, a, b)
+        assert abs((1.0 / a + 1.0 / b) * p - 1.0) <= 4 * 2.0 ** -52, (p, a, b)
+
+
+@pytest.mark.parametrize("name", _TABLE_PAIRS)
+def test_table_composition_is_never_above_the_search(name):
+    nu1, nu2 = _table_pairs()[name]
+    ps = _table_grid(nu1, nu2)
+    for a, b in ((nu1, nu2), (nu2, nu1)):
+        got = _otimes_grid(a, b, ps)[0]
+        want = np.array([ref_otimes(a, b, p).value for p in ps])
+        assert np.array_equal(np.isinf(got), np.isinf(want)), name
+        fin = np.isfinite(want)
+        assert np.all(got[fin] <= want[fin] * (1.0 + 1e-13)), name
+
+
+@pytest.mark.parametrize("tag,direction", [
+    ("martingale", "forward"), ("inside_independent", "forward"), ("martingale", "reverse"),
+])
+def test_chain_stages_dominate_the_exact_composition(tag, direction):
+    # each stage interpolates K(p) times the composition of the stage before
+    # with the next input; between its nodes it must stay at or above it
+    inputs = [
+        natural_envelope(dist, tag, points=65)
+        for dist in (ParetoPower(6.0), ParetoPower(8.0), Rademacher())
+    ]
+    chain = zeta_chain(DependenceRegime(tag, direction), inputs, points=65)
+    order = inputs if direction == "forward" else inputs[::-1]
+    K = GrowthConstant.martingale()
+    for prev, nu, stage in zip(chain.stages, order[1:], chain.stages[1:]):
+        mid = 0.5 * (stage.p_grid[1:] + stage.p_grid[:-1])
+        composed = np.array([K(p) for p in mid]) * _otimes_grid(prev, nu, mid)[0]
+        assert np.all(np.isfinite(composed))
+        assert np.all(stage.values_at(mid) >= composed * (1.0 - 1e-14))
+
+
+def test_row_blocks_do_not_change_bits(monkeypatch):
+    nu1, nu2 = _table_pairs()["stage-pareto"]
+    ps = _table_grid(nu1, nu2)
+    want = _otimes_grid(nu1, nu2, ps)
+    for block in (1, 500, 1 << 40):  # a row per block, several rows, one block
+        monkeypatch.setattr(calculus, "_BLOCK", block)
+        got = _otimes_grid(nu1, nu2, ps)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), block
+
+
+def test_open_table_end_is_not_a_candidate(monkeypatch):
+    # the composition of two tables evaluates only each row's winner, and a
+    # table open at its grid end is never evaluated there
+    tab, pareto = _table_pairs()["open-pareto"]
+    seen = []
+    values_at = Tabulated.values_at
+    monkeypatch.setattr(
+        Tabulated, "values_at",
+        lambda env, qs: (seen.extend(qs) if env is tab else None) or values_at(env, qs),
+    )
+    ps = _table_grid(tab, pareto)
+    values = _otimes_grid(tab, pareto, ps)[0]
+    assert len(seen) == np.isfinite(values).sum() > 0
+    # the inset point, or a split interval's midpoint where it is narrower
+    # than two insets (the row 1e-13 below the edge)
+    assert max(seen) < 4.0
+    assert sorted(seen)[-2] < 4.0 * (1.0 - 1e-13)
 
 
 def _value_envelopes():

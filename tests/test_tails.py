@@ -253,6 +253,33 @@ class TestFitRescale:
         c = fit_tail_rescale(bound, 10.0, 1e-3)
         assert bound(10.0 / c) == pytest.approx(1e-3, rel=1e-6)
 
+    @staticmethod
+    def _tails():
+        xs = np.geomspace(1.0, 1e4, 17)
+        return [
+            TabulatedTail(xs, np.minimum(1.0, 3.0 * xs ** -4.5)),
+            RegularVariationTail(5.0, 1.5),
+        ]
+
+    @pytest.mark.parametrize("index", [0, 1])
+    @pytest.mark.parametrize("target", [1e-3, 1e-5, 1e-8])
+    def test_fitted_to_roundoff(self, index, target):
+        # the bisection runs until its ends are adjacent floats, so the bound
+        # at the rescaled anchor is the target up to a few ulps of its slope
+        bound = self._tails()[index]
+        c = fit_tail_rescale(bound, 10.0, target)
+        assert abs(bound(10.0 / c) / target - 1.0) <= 64 * 2.0 ** -52
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_small_tail_change_moves_the_rescale_as_little(self, index):
+        # a tail 1e-13 higher moves the fit by about 1e-13 over the bound's
+        # log-log slope, not by a stopping tolerance
+        bound = self._tails()[index]
+        c = fit_tail_rescale(bound, 10.0, 1e-3)
+        c_moved = fit_tail_rescale(lambda x: bound(x) * (1.0 + 1e-13), 10.0, 1e-3)
+        assert c_moved != c
+        assert abs(c_moved / c - 1.0) <= 1e-13
+
     def test_degenerate_target(self):
         bound = lambda x: 0.5
         assert fit_tail_rescale(bound, 10.0, 0.0) == 1.0
