@@ -18,6 +18,7 @@ bit-identical result sections.
 from __future__ import annotations
 
 import functools
+import importlib
 import json
 import math
 import time
@@ -75,6 +76,21 @@ SCHEMA_VERSION = 1
 # the version of a report's numbers for a fixed (plan, seed); README's
 # "Reproducibility" says what each version changed
 STREAM_VERSION = 4
+
+
+def host_class() -> Dict:
+    """The numpy version and its baseline and enabled dispatch SIMD targets: the host
+    class on which a (plan, seed) fixes a report's bits.  numpy has no public getter,
+    so the targets are ``"unknown"`` where its private module cannot be read."""
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):  # numpy 2, 1
+        try:
+            umath = importlib.import_module(name)
+            enabled = umath.__cpu_features__
+            simd = list(umath.__cpu_baseline__) + [t for t in umath.__cpu_dispatch__ if enabled.get(t)]
+            return {"numpy": np.__version__, "simd": simd}
+        except (ImportError, AttributeError, TypeError):
+            pass
+    return {"numpy": np.__version__, "simd": "unknown"}
 
 
 class NumericFailure(RuntimeError):
@@ -365,6 +381,7 @@ def _run(plan: ExperimentPlan) -> VerificationReport:
         "threads": plan.threads,
         "version": _pkg_version,
         "stream_version": STREAM_VERSION,
+        "host": host_class(),
         "wall_time_s": None,  # set below
         **tail_meta,
     }

@@ -862,9 +862,20 @@ def power_mean(model: PolynomialModel, slot: int) -> float:
     return _moments(dist, [k], loc, signed=True)[0] / scale ** k
 
 
-# term products per gathered block (general-tensor Q, sweep products): a 64K
-# double block and its gather block (1 MB) stay in one core's L2 cache
+# term products per gathered block (general-tensor Q, sweep products) and
+# uniforms per draw chunk (at least one row): a 64K double block and its
+# gather block (1 MB) stay in one core's L2 cache
 BLOCK_ELEMENTS = 1 << 16
+
+
+def _draw_rows(gen: np.random.Generator, draw: np.ndarray, size: int) -> Iterator[Tuple[int, np.ndarray]]:
+    """``(lo, chunk)``: rows ``lo:lo + len(chunk)`` of one ``(size, keys)`` uniform
+    draw, drawn into ``draw`` ``len(draw)`` rows at a time; Philox makes them the
+    numbers of one whole draw."""
+    for lo in range(0, size, len(draw)):
+        chunk = draw[:size - lo]
+        gen.random(out=chunk)
+        yield lo, chunk
 
 
 def _term_products(source, rows, out, gather, coefs=None) -> np.ndarray:
@@ -893,14 +904,18 @@ class Sampler:
     Key ``i * slots + m`` drives cell (i, m) under sharing "none", key ``i``
     drives row i under "vectors" and key 0 drives every cell under "all", so
     the transposed draw is a ``key_shape + (size,)`` block that broadcasts
-    against the cells.  Everything that does not depend on the draw is
-    computed here: per-slot (loc, scale), power means, the key layout, the
-    window-restricted tensor and whether the uniform-tensor recursion applies.
+    against the cells.  Each draw comes in stream order in chunks of at most
+    ``BLOCK_ELEMENTS`` uniforms (or one row), the numbers of one whole draw
+    under Philox; survival chunks go straight into the cells where each cell
+    has its own key, else into a ``(nkeys, size)`` keys array.  Everything
+    that does not depend on the draw is computed here: per-slot (loc, scale),
+    power means, the key layout, the window-restricted tensor and whether the
+    uniform-tensor recursion applies.
     Batches only read this state, so one sampler serves concurrent batches.
     Each thread keeps one scratch array, grown to its largest request, for
-    the draws, Q's term blocks and ``products``' result; that result stays
-    valid until the same thread's next sampler call.  ``cells`` and ``q``
-    return fresh arrays.
+    the draw chunks and shared keys, Q's term blocks and ``products``' result;
+    that result stays valid until the same thread's next sampler call.
+    ``cells`` and ``q`` return fresh arrays.
     """
 
     def __init__(self, model: PolynomialModel, window: Optional[Tuple[int, int]] = None):
@@ -962,11 +977,16 @@ class Sampler:
     def cells(self, seed: int, batch_index: int, size: int) -> np.ndarray:
         """One batch of transformed cells, time-major, before power centering."""
         gen = _stream(seed, batch_index)
-        draw, keys = self._scratch((size, self.nkeys), (self.nkeys, size))
-        gen.random(out=draw)
-        np.subtract(1.0, draw.T, out=keys)  # survival uniforms in (0, 1]
-        keys = keys.reshape(self.key_shape + (size,))
         cells = np.empty((self.rows, self.model.slots, size))
+        step = min(size, max(1, BLOCK_ELEMENTS // self.nkeys))
+        if self.nkeys == cells.shape[0] * cells.shape[1]:
+            # each cell has its own key: the survival uniforms go straight into the cells
+            (draw,), keys = self._scratch((step, self.nkeys)), cells.reshape(self.nkeys, size)
+        else:
+            draw, keys = self._scratch((step, self.nkeys), (self.nkeys, size))
+        for lo, chunk in _draw_rows(gen, draw, size):
+            np.subtract(1.0, chunk.T, out=keys[:, lo:lo + len(chunk)])  # survival uniforms in (0, 1]
+        keys = keys.reshape(self.key_shape + (size,))
         for m, dist in enumerate(self.model.distributions):
             loc, scale = self.loc_scale[m]
             raw = dist.survival_quantile(keys[:, self.key_cols[m]])
@@ -976,11 +996,13 @@ class Sampler:
             else:
                 np.subtract(raw, loc, out=cells[:, m])
                 cells[:, m] /= scale
+            del raw  # one slot's quantiles at a time
         if self.symmetrized:
             # negative exactly when the cell's sign uniform is below 0.5
-            gen.random(out=draw)
-            draw -= 0.5
-            np.copysign(cells, draw.T.reshape(self.key_shape + (size,)), out=cells)
+            for lo, chunk in _draw_rows(gen, draw, size):
+                chunk -= 0.5
+                block = cells[..., lo:lo + len(chunk)]
+                np.copysign(block, chunk.T.reshape(self.key_shape + (len(chunk),)), out=block)
             self.modulate(cells)
         return cells
 
@@ -1005,13 +1027,14 @@ class Sampler:
             total += signs if vector else signs.sum(axis=0)
 
     def factors(self, cells: np.ndarray) -> np.ndarray:
-        """Cells as Q factors: ``cell^k(l) - E cell^k(l)`` for polynomial models."""
-        if self.powers is None:
-            return cells
-        out = np.empty_like(cells)
-        for l, (k, mean) in enumerate(self.powers):
-            out[:, l] = cells[:, l] ** k - mean if k else 1.0
-        return out
+        """Cells as Q factors: ``cell^k(l) - E cell^k(l)`` for polynomial models.
+
+        Consumes ``cells``: the factors are written over it and returned.
+        """
+        if self.powers is not None:
+            for l, (k, mean) in enumerate(self.powers):
+                cells[:, l] = cells[:, l] ** k - mean if k else 1.0
+        return cells
 
     def q(self, factors: np.ndarray, running_max: bool = False) -> np.ndarray:
         """Q for each replication, or the running maximum of |Q| over time."""

@@ -27,7 +27,9 @@ from polymoment import (
     run_experiment,
     variance_of_Q,
 )
-from polymoment.mcverify import DRIFT_SLOPE, auto_p_grid, plan_from_config, plan_to_config
+from polymoment.mcverify import (
+    DRIFT_SLOPE, auto_p_grid, host_class, plan_from_config, plan_to_config,
+)
 from polymoment.cli import load_config
 from polymoment.polymodel import ConfigError, model_from_config
 
@@ -496,6 +498,21 @@ class TestReports:
         with pytest.raises(ConfigError, match="plan.bound"):
             plan_from_config(cfg, model)
 
+    def test_host_class_in_metadata(self, monkeypatch):
+        report = self._small_report()
+        host = report.metadata["host"]
+        assert host["numpy"] == np.__version__
+        assert isinstance(host["simd"], list) and host["simd"]
+        assert all(isinstance(target, str) for target in host["simd"])
+        assert set(report.result_payload()) == {"moments", "tails", "sweep"}
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:  # numpy 1.x
+            from numpy.core import _multiarray_umath as umath
+        # numpy's private module without its feature table: the guarded read gives up
+        monkeypatch.delattr(umath, "__cpu_features__")
+        assert host_class() == {"numpy": np.__version__, "simd": "unknown"}
+
 
 
 _MARTINGALE_PAYLOAD = """
@@ -510,7 +527,7 @@ except ImportError:  # numpy 1.x
 cfg = load_config(None, "pareto_d2_martingale")
 report = run_experiment(plan_from_config(dict(cfg["plan"]), model_from_config(cfg["model"])))
 print(json.dumps({"avx512": bool(__cpu_features__.get("AVX512_SKX")),
-                  "payload": report.result_payload()}))
+                  "host": report.metadata["host"], "payload": report.result_payload()}))
 """
 
 
@@ -534,6 +551,9 @@ def test_payload_agrees_across_simd_dispatch():
     there = json.loads(run.stdout)
     if there["avx512"]:
         pytest.skip("numpy ignores the variable on this build")
+    # the report names the host class its bits belong to
+    assert here["host"]["numpy"] == there["host"]["numpy"]
+    assert set(there["host"]["simd"]) < set(here["host"]["simd"])
     a, b = here["payload"], there["payload"]
     assert [row[1] for row in a["tails"]] == [row[1] for row in b["tails"]]  # empirical tails
     assert [row[-1] for row in a["tails"]] == [row[-1] for row in b["tails"]]

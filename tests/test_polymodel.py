@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import sys
@@ -1086,15 +1087,27 @@ class TestScratch:
         self.batch(sampler, rows, 1024)  # grows the array to the largest request
         calls = self.record(monkeypatch)
         *_, products = self.batch(sampler, rows, 1024, b=1)
-        # cells (draw, keys), q twice (product, gather), products (out, gather)
-        assert [len(views) for views in calls] == [2, 2, 2, 2]
+        # cells (a draw chunk: each cell has its own key, so the uniforms go
+        # straight into the cells), q twice (product, gather), products (out, gather)
+        assert [len(views) for views in calls] == [1, 2, 2, 2]
         array = sampler._local.array
         for views in calls:
             for view in views:
                 assert view.flags.c_contiguous and np.shares_memory(view, array)
             # one call's views lie back to back, so they never overlap
-            assert not np.shares_memory(*views)
+            assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(views, 2))
         assert products is calls[-1][0]
+
+    @pytest.mark.parametrize("sharing", ["vectors", "all"])
+    def test_shared_keys_take_a_keys_view(self, sharing, monkeypatch):
+        dist = ParetoPower(6.0, standardized=True)
+        sampler = Sampler(common_model(3, 12, [dist] * 3, sharing=sharing, tag="martingale"))
+        sampler.cells(21, 0, 1024)
+        calls = self.record(monkeypatch)
+        sampler.cells(21, 1, 1024)
+        # a draw chunk and the (keys, size) survival uniforms, back to back
+        [[draw, keys]] = calls
+        assert keys.shape == (sampler.nkeys, 1024) and not np.shares_memory(draw, keys)
 
     def test_a_smaller_batch_reuses_the_array(self):
         sampler = Sampler(self.models()["general"])
@@ -1147,6 +1160,127 @@ class TestScratch:
         assert not np.shares_memory(other[0][1], sampler._local.array)
         assert np.shares_memory(other[0][0], other[0][1])
         assert_identical(other[0][0], mine)
+
+
+def whole_batch_cells(sampler, seed, b, size):
+    """One batch's cells from one whole ``(size, nkeys)`` draw and a cells-sized keys
+    array, as ``Sampler.cells`` made them before it drew in chunks: its reference."""
+    gen = _stream(seed, b)
+    draw = np.empty((size, sampler.nkeys))
+    gen.random(out=draw)
+    keys = np.empty((sampler.nkeys, size))
+    np.subtract(1.0, draw.T, out=keys)
+    keys = keys.reshape(sampler.key_shape + (size,))
+    cells = np.empty((sampler.rows, sampler.model.slots, size))
+    for m, dist in enumerate(sampler.model.distributions):
+        loc, scale = sampler.loc_scale[m]
+        raw = dist.survival_quantile(keys[:, sampler.key_cols[m]])
+        if sampler.symmetrized:
+            np.divide(raw, scale, out=cells[:, m])
+        else:
+            np.subtract(raw, loc, out=cells[:, m])
+            cells[:, m] /= scale
+    if sampler.symmetrized:
+        gen.random(out=draw)
+        draw -= 0.5
+        np.copysign(cells, draw.T.reshape(sampler.key_shape + (size,)), out=cells)
+        sampler.modulate(cells)
+    return cells
+
+
+CHUNK_DISTS = [ParetoPower(6.0, standardized=True), Weibull(1.0, 1.5), LogPowerOnly(0.5)]
+# (tag, sharing, direction, d, n, window): plain and symmetrised regimes, every
+# sharing mode, both directions, and index windows
+CHUNK_MODELS = [
+    ("common_independent", "none", "forward", 3, 12, None),
+    ("vector_independent", "none", "reverse", 2, 12, (3, 10)),
+    ("inside_independent", "vectors", "forward", 3, 12, None),
+    ("inside_independent", "all", "reverse", 2, 8, None),
+    ("martingale", "none", "reverse", 2, 8, None),
+    ("martingale", "vectors", "reverse", 3, 12, (2, 11)),
+    ("martingale", "all", "forward", 3, 9, None),
+]
+
+
+class TestChunkedDraw:
+    """``Sampler.cells`` draws each batch in chunks of at most BLOCK_ELEMENTS
+    uniforms, straight into the cells where each cell has its own key; the
+    cells equal those of one whole draw, byte for byte."""
+
+    @staticmethod
+    def sampler(tag, sharing, direction, d, n, window):
+        model = common_model(d, n, CHUNK_DISTS[:d], sharing=sharing, tag=tag, direction=direction)
+        return Sampler(model, window)
+
+    @pytest.mark.parametrize("spec", CHUNK_MODELS, ids=lambda s: f"{s[0]}-{s[1]}-{s[2]}")
+    def test_cells_equal_one_whole_draw(self, spec, monkeypatch):
+        from polymoment import polymodel
+
+        sampler = self.sampler(*spec)
+        # one chunk exactly and one chunk plus one row at the default block
+        step = BLOCK_ELEMENTS // sampler.nkeys
+        sizes = [1, 7, 1023, 1024, step, step + 1]
+        want = {size: whole_batch_cells(sampler, 5, 3, size) for size in sizes}
+        # a row a chunk, a few rows and a ragged last chunk, one chunk a batch
+        for block in (1, 7, 1000, BLOCK_ELEMENTS, 1 << 40):
+            monkeypatch.setattr(polymodel, "BLOCK_ELEMENTS", block)
+            for size in sizes:
+                assert_identical(sampler.cells(5, 3, size), want[size])
+
+    @pytest.mark.parametrize("spec", CHUNK_MODELS[:3], ids=lambda s: f"{s[0]}-{s[1]}")
+    @pytest.mark.parametrize("block", [7, 1000])
+    def test_ragged_last_batch(self, spec, block, monkeypatch):
+        from polymoment import polymodel
+
+        sampler = self.sampler(*spec[:5], None)
+        assert batch_plan(3000) == [1024, 1024, 952]
+        want = np.concatenate([
+            whole_batch_cells(sampler, 8, b, size).transpose(2, 0, 1)
+            for b, size in enumerate(batch_plan(3000))
+        ])
+        monkeypatch.setattr(polymodel, "BLOCK_ELEMENTS", block)
+        assert_identical(sample_cells(sampler.model, 8, 3000), want)
+
+    def test_each_cells_own_key_draws_no_keys_array(self):
+        sampler = self.sampler(*CHUNK_MODELS[0])
+        sampler.cells(5, 0, 4096)
+        # the thread's scratch holds one draw chunk, not the batch's draw
+        assert sampler._local.array.size == BLOCK_ELEMENTS // sampler.nkeys * sampler.nkeys
+
+    @pytest.mark.parametrize("mult", [(2,), (1, 1), (2, 1), (3, 0, 1)])
+    def test_factors_write_over_the_cells(self, mult):
+        slots = len(mult)
+        dists = [ParetoPower(8.0, centered=True), Weibull(1.0, 1.5), LogPowerOnly(0.5)]
+        tensor = CoefficientTensor.random_unit(slots, 5, np.random.default_rng(6))
+        sampler = Sampler(common_model(sum(mult), 5, dists[:slots], tensor=tensor,
+                                       multiplicities=mult))
+        cells = sampler.cells(13, 0, 3000)
+        # the bits of factors made in a fresh array, as before, in the cells' own memory
+        want = ref_factors(sampler.model, cells.transpose(2, 0, 1).copy())
+        got = sampler.factors(cells)
+        assert got is cells
+        assert_identical(got.transpose(2, 0, 1), want)
+
+    @pytest.mark.parametrize("tag", ["common_independent", "martingale"])
+    def test_one_batch_holds_one_cells_array(self, tag):
+        import tracemalloc
+
+        from polymoment.mcverify import _batch_sums
+
+        centered = tag == "common_independent"
+        dists = [ParetoPower(6.0, centered=centered, standardized=True)] * 3
+        sampler = Sampler(common_model(3, 16, dists, tag=tag))
+        size = 10_000
+        nbytes = sampler.rows * 3 * size * 8
+        tracemalloc.start()
+        try:
+            _batch_sums(sampler, 0, 0, size, ps=np.array([1.5, 3.0]), xs=(2.0,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the cells, one slot's quantiles and a draw chunk; a whole draw, its
+        # transposed keys and two slots' quantiles at once came to 3.67x
+        assert peak < 1.4 * nbytes + (1 << 20)
 
 
 class TestBatchPlan:
