@@ -330,13 +330,12 @@ def _moment_rows(plan: ExperimentPlan, powers: np.ndarray, sizes: List[int], bou
     return rows
 
 
-def _tail_section(plan: ExperimentPlan, tails: np.ndarray, bound_env):
-    if not plan.x_grid:
+def _tail_section(plan: ExperimentPlan, tails: np.ndarray, bound_tail: Optional[ConjugateTail]):
+    if bound_tail is None:
         return (), {}
     total = float(plan.replications)
     emp = np.sum(tails, axis=0) / total
     se = np.sqrt(emp * (1.0 - emp) / total)
-    bound_tail = ConjugateTail(ConjugateSpec(bound_env, norm_factor=plan.tail_norm_factor))
     fitted = bool(plan.fit_tail_rescale and emp[0] > 0.0)
     rescale = fit_tail_rescale(bound_tail, plan.x_grid[0], float(emp[0])) if fitted else 1.0
     lookup = {float(x): (float(e), float(s)) for x, e, s in zip(plan.x_grid, emp, se)}
@@ -347,6 +346,9 @@ def _tail_section(plan: ExperimentPlan, tails: np.ndarray, bound_env):
 def _run(plan: ExperimentPlan) -> VerificationReport:
     t0 = time.perf_counter()
     bound_env = plan.bound_envelope
+    bound_tail = None  # built before the first draw, so a bound without a conjugate tail fails at once
+    if plan.x_grid:
+        bound_tail = ConjugateTail(ConjugateSpec(bound_env, norm_factor=plan.tail_norm_factor))
     sampler = Sampler(plan.model, plan.window)
     sweep = _sweep_tensors(sampler, plan.b_sweep, plan.seed) if plan.b_sweep else None
     batch = functools.partial(_batch_sums, sampler, plan.seed, ps=plan.p_grid, xs=plan.x_grid,
@@ -354,7 +356,7 @@ def _run(plan: ExperimentPlan) -> VerificationReport:
     sizes = batch_plan(plan.replications)
     powers, tails, sweeps = map(np.array, zip(*_map_batches(batch, sizes, plan.threads)))
     rows = _moment_rows(plan, powers, sizes, bound_env)
-    tail_rows, tail_meta = _tail_section(plan, tails, bound_env)
+    tail_rows, tail_meta = _tail_section(plan, tails, bound_tail)
 
     sweep_section = None
     if sweep is not None:

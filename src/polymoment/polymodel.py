@@ -862,9 +862,9 @@ def power_mean(model: PolynomialModel, slot: int) -> float:
     return _moments(dist, [k], loc, signed=True)[0] / scale ** k
 
 
-# term products per gathered block (general-tensor Q, sweep products) and
-# uniforms per draw chunk (at least one row): a 64K double block and its
-# gather block (1 MB) stay in one core's L2 cache
+# term products per gathered block (general-tensor Q, sweep products),
+# uniforms per draw chunk and cells per transform band (each at least one
+# row): a 64K double block and its gather block (1 MB) stay in one core's L2 cache
 BLOCK_ELEMENTS = 1 << 16
 
 
@@ -906,14 +906,17 @@ class Sampler:
     the transposed draw is a ``key_shape + (size,)`` block that broadcasts
     against the cells.  Each draw comes in stream order in chunks of at most
     ``BLOCK_ELEMENTS`` uniforms (or one row), the numbers of one whole draw
-    under Philox; survival chunks go straight into the cells where each cell
-    has its own key, else into a ``(nkeys, size)`` keys array.  Everything
-    that does not depend on the draw is computed here: per-slot (loc, scale),
-    power means, the key layout, the window-restricted tensor and whether the
-    uniform-tensor recursion applies.
+    under Philox.  Each key's survival uniforms go into the first cell it
+    drives, ``cells[:kr, :ks]`` for key shape ``(kr, ks)``; the quantile
+    transform then runs slot by slot, slot 0 (which holds shared keys) last,
+    in bands of at most ``BLOCK_ELEMENTS`` cells (or one row), as do
+    ``factors``.  So a batch holds its cells, one draw chunk and one band's
+    temporaries.  Everything that does not depend on the draw is computed
+    here: per-slot (loc, scale), power means, the key layout, the
+    window-restricted tensor and whether the uniform-tensor recursion applies.
     Batches only read this state, so one sampler serves concurrent batches.
     Each thread keeps one scratch array, grown to its largest request, for
-    the draw chunks and shared keys, Q's term blocks and ``products``' result;
+    the draw chunks, Q's term blocks and ``products``' result;
     that result stays valid until the same thread's next sampler call.
     ``cells`` and ``q`` return fresh arrays.
     """
@@ -978,31 +981,30 @@ class Sampler:
         """One batch of transformed cells, time-major, before power centering."""
         gen = _stream(seed, batch_index)
         cells = np.empty((self.rows, self.model.slots, size))
-        step = min(size, max(1, BLOCK_ELEMENTS // self.nkeys))
-        if self.nkeys == cells.shape[0] * cells.shape[1]:
-            # each cell has its own key: the survival uniforms go straight into the cells
-            (draw,), keys = self._scratch((step, self.nkeys)), cells.reshape(self.nkeys, size)
-        else:
-            draw, keys = self._scratch((step, self.nkeys), (self.nkeys, size))
+        kr, ks = self.key_shape
+        keys = cells[:kr, :ks]  # each key's survival uniforms, in (0, 1], in the first cell it drives
+        (draw,) = self._scratch((min(size, max(1, BLOCK_ELEMENTS // self.nkeys)), self.nkeys))
         for lo, chunk in _draw_rows(gen, draw, size):
-            np.subtract(1.0, chunk.T, out=keys[:, lo:lo + len(chunk)])  # survival uniforms in (0, 1]
-        keys = keys.reshape(self.key_shape + (size,))
-        for m, dist in enumerate(self.model.distributions):
-            loc, scale = self.loc_scale[m]
-            raw = dist.survival_quantile(keys[:, self.key_cols[m]])
-            if self.symmetrized:
-                # the magnitude is |raw| / scale; its sign is set below
-                np.divide(raw, scale, out=cells[:, m])
-            else:
-                np.subtract(raw, loc, out=cells[:, m])
-                cells[:, m] /= scale
-            del raw  # one slot's quantiles at a time
+            np.subtract(1.0, chunk.T.reshape(kr, ks, -1), out=keys[..., lo:lo + len(chunk)])
+        band = max(1, BLOCK_ELEMENTS // size)
+        for m in reversed(range(self.model.slots)):  # slot 0, which holds shared keys, last
+            dist, (loc, scale) = self.model.distributions[m], self.loc_scale[m]
+            for lo in range(0, kr, band):
+                raw = dist.survival_quantile(keys[lo:lo + band, self.key_cols[m]])
+                out = cells[lo:lo + band, m] if kr > 1 else cells[:, m]
+                if self.symmetrized:
+                    # the magnitude is |raw| / scale; its sign is set below
+                    np.divide(raw, scale, out=out)
+                else:
+                    np.subtract(raw, loc, out=out)
+                    out /= scale
+                del raw  # one band's quantiles at a time
         if self.symmetrized:
             # negative exactly when the cell's sign uniform is below 0.5
             for lo, chunk in _draw_rows(gen, draw, size):
                 chunk -= 0.5
                 block = cells[..., lo:lo + len(chunk)]
-                np.copysign(block, chunk.T.reshape(self.key_shape + (len(chunk),)), out=block)
+                np.copysign(block, chunk.T.reshape(kr, ks, -1), out=block)
             self.modulate(cells)
         return cells
 
@@ -1032,8 +1034,11 @@ class Sampler:
         Consumes ``cells``: the factors are written over it and returned.
         """
         if self.powers is not None:
+            band = max(1, BLOCK_ELEMENTS // cells.shape[-1])
             for l, (k, mean) in enumerate(self.powers):
-                cells[:, l] = cells[:, l] ** k - mean if k else 1.0
+                for lo in range(0, self.rows, band):
+                    out = cells[lo:lo + band, l]
+                    out[...] = out ** k - mean if k else 1.0
         return cells
 
     def q(self, factors: np.ndarray, running_max: bool = False) -> np.ndarray:

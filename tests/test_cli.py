@@ -191,6 +191,35 @@ class TestVerifyCommand:
         assert code == 3
         assert "VIOLATION" in out
 
+    def test_bound_without_a_conjugate_tail_exits_2_before_sampling(self, capsys, tmp_path, monkeypatch):
+        from polymoment.polymodel import Sampler
+
+        cfg = {
+            "name": "doob_overflow",
+            "model": {
+                "d": 1, "n": 1,
+                "regime": {"tag": "martingale", "direction": "forward"},
+                "sharing": "none",
+                "coefficients": {"kind": "uniform"},
+                "distributions": [{"kind": "pareto_power", "r1": 12.0, "standardized": True}],
+            },
+            # the Doob factor overflows the scaled chain at the conjugate grid's start
+            "plan": {
+                "replications": 100_000, "p_grid": [2.0, 3.0], "x_grid": [5.0],
+                "bound": {"kind": "zeta_natural", "scale": 1e300}, "seed": 1,
+                "experiment": "doob",
+            },
+            "output": {},
+        }
+        path = tmp_path / "doob_overflow.json"
+        path.write_text(json.dumps(cfg))
+        calls = []
+        cells = Sampler.cells
+        monkeypatch.setattr(Sampler, "cells", lambda s, *args: calls.append(args) or cells(s, *args))
+        code, _, err = run_cli(capsys, "verify", "--config", str(path), "--out", str(tmp_path / "rep"))
+        assert code == 2 and "conjugate grid" in err
+        assert calls == []
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--config", "/no/such/file.json")
         assert code == 2

@@ -346,6 +346,27 @@ class TestDoob:
         assert report.moment_rows[0].empirical == 0.0
         assert report.passed
 
+    def test_a_bound_without_a_conjugate_tail_fails_before_the_first_draw(self, monkeypatch):
+        from polymoment import EnvelopeDomainError, Indicator, Scaled
+        from polymoment.polymodel import Sampler
+
+        model = PolynomialModel(
+            1, 1, CoefficientTensor.uniform(1, 1), DependenceRegime("martingale"),
+            (ParetoPower(12.0, standardized=True),),
+        )
+        # finite on the p grid, but the Doob factor p/(p-1) overflows it at
+        # the conjugate grid's start, 1 + 1e-9
+        plan = ExperimentPlan(
+            model=model, replications=100_000, p_grid=np.array([2.0, 3.0]),
+            bound=Scaled(Indicator(r=10.0), 1e300), x_grid=(5.0,), experiment="doob",
+        )
+        calls = []
+        cells = Sampler.cells
+        monkeypatch.setattr(Sampler, "cells", lambda s, *args: calls.append(args) or cells(s, *args))
+        with pytest.raises(EnvelopeDomainError):
+            doob_experiment(plan)
+        assert calls == []
+
     def test_doob_requires_p_above_one(self):
         model = rademacher_model(1, 4)
         with pytest.raises(ValueError):

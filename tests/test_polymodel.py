@@ -1099,15 +1099,17 @@ class TestScratch:
         assert products is calls[-1][0]
 
     @pytest.mark.parametrize("sharing", ["vectors", "all"])
-    def test_shared_keys_take_a_keys_view(self, sharing, monkeypatch):
+    def test_shared_keys_draw_into_their_cells(self, sharing, monkeypatch):
         dist = ParetoPower(6.0, standardized=True)
         sampler = Sampler(common_model(3, 12, [dist] * 3, sharing=sharing, tag="martingale"))
         sampler.cells(21, 0, 1024)
         calls = self.record(monkeypatch)
-        sampler.cells(21, 1, 1024)
-        # a draw chunk and the (keys, size) survival uniforms, back to back
-        [[draw, keys]] = calls
-        assert keys.shape == (sampler.nkeys, 1024) and not np.shares_memory(draw, keys)
+        cells = sampler.cells(21, 1, 1024)
+        # one draw chunk and no (keys, size) array: each key's uniforms go
+        # into the first cell it drives
+        [[draw]] = calls
+        assert draw.shape == (1024, sampler.nkeys) and sampler._local.array.size == draw.size
+        assert_identical(cells, whole_batch_cells(sampler, 21, 1, 1024))
 
     def test_a_smaller_batch_reuses_the_array(self):
         sampler = Sampler(self.models()["general"])
@@ -1204,8 +1206,9 @@ CHUNK_MODELS = [
 
 class TestChunkedDraw:
     """``Sampler.cells`` draws each batch in chunks of at most BLOCK_ELEMENTS
-    uniforms, straight into the cells where each cell has its own key; the
-    cells equal those of one whole draw, byte for byte."""
+    uniforms, each key's straight into the first cell it drives, and
+    transforms it in bands; the cells equal those of one whole draw, byte for
+    byte."""
 
     @staticmethod
     def sampler(tag, sharing, direction, d, n, window):
@@ -1217,9 +1220,11 @@ class TestChunkedDraw:
         from polymoment import polymodel
 
         sampler = self.sampler(*spec)
-        # one chunk exactly and one chunk plus one row at the default block
+        # one chunk exactly and one chunk plus one row at the default block,
+        # and slots transformed in bands of 3 rows, the last one ragged for 8 and 10 rows
         step = BLOCK_ELEMENTS // sampler.nkeys
-        sizes = [1, 7, 1023, 1024, step, step + 1]
+        sizes = [1, 7, 1023, 1024, step, step + 1, 17_000]
+        assert BLOCK_ELEMENTS // 17_000 == 3 < sampler.rows
         want = {size: whole_batch_cells(sampler, 5, 3, size) for size in sizes}
         # a row a chunk, a few rows and a ragged last chunk, one chunk a batch
         for block in (1, 7, 1000, BLOCK_ELEMENTS, 1 << 40):
@@ -1261,26 +1266,50 @@ class TestChunkedDraw:
         assert got is cells
         assert_identical(got.transpose(2, 0, 1), want)
 
-    @pytest.mark.parametrize("tag", ["common_independent", "martingale"])
-    def test_one_batch_holds_one_cells_array(self, tag):
+    @pytest.mark.parametrize("block", [7, 1000])
+    def test_factors_in_bands(self, block, monkeypatch):
+        from polymoment import polymodel
+
+        dists = [ParetoPower(8.0, centered=True), Weibull(1.0, 1.5)]
+        sampler = Sampler(common_model(3, 5, dists, multiplicities=(2, 1)))
+        cells = {size: sampler.cells(13, 0, size) for size in (1, 3, 300, 3000)}
+        want = {size: ref_factors(sampler.model, c.transpose(2, 0, 1).copy()) for size, c in cells.items()}
+        # 5 rows in one band, in bands of 2 (block 7, size 3) or 3 (block
+        # 1000, size 300) rows with a ragged last, or a row a band
+        monkeypatch.setattr(polymodel, "BLOCK_ELEMENTS", block)
+        for size, c in cells.items():
+            assert_identical(sampler.factors(c).transpose(2, 0, 1), want[size])
+
+    @pytest.mark.parametrize("tag, sharing, mult", [
+        ("common_independent", "none", None),
+        ("martingale", "none", None),
+        ("inside_independent", "vectors", None),
+        ("martingale", "all", None),
+        ("common_independent", "none", (2, 1)),
+    ], ids=["common_independent", "martingale", "inside_independent-vectors", "martingale-all",
+            "polynomial"])
+    def test_one_batch_holds_one_cells_array(self, tag, sharing, mult):
         import tracemalloc
 
         from polymoment.mcverify import _batch_sums
 
-        centered = tag == "common_independent"
-        dists = [ParetoPower(6.0, centered=centered, standardized=True)] * 3
-        sampler = Sampler(common_model(3, 16, dists, tag=tag))
-        size = 10_000
-        nbytes = sampler.rows * 3 * size * 8
+        dists = [ParetoPower(6.0, centered=tag == "common_independent", standardized=True)] * 3
+        # 96 rows: one slot's quantiles would exceed the bound below by far
+        sampler = Sampler(common_model(3, 96, dists[:len(mult or dists)], sharing=sharing, tag=tag,
+                                       multiplicities=mult))
+        slots, size = sampler.model.slots, 10_000
+        nbytes = sampler.rows * slots * size * 8
         tracemalloc.start()
         try:
             _batch_sums(sampler, 0, 0, size, ps=np.array([1.5, 3.0]), xs=(2.0,))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the cells, one slot's quantiles and a draw chunk; a whole draw, its
-        # transposed keys and two slots' quantiles at once came to 3.67x
-        assert peak < 1.4 * nbytes + (1 << 20)
+        # the cells, a draw chunk and one band's temporaries (each at most
+        # BLOCK_ELEMENTS doubles), and O(slots * size) for the modulators and
+        # Q; a (keys, size) array and one slot's quantiles, rows * size doubles
+        # each, would not fit
+        assert peak <= nbytes + 8 * (3 * BLOCK_ELEMENTS + 8 * slots * size)
 
 
 class TestBatchPlan:
