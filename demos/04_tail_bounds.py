@@ -45,7 +45,7 @@ for x in [10.0, 100.0, 1000.0]:
     print(f"  T({x}) = {regular_variation_tail(4.0, 0.0, None, x):.3e}")
 
 # Dominance check: compare an empirical tail of the Pareto-power benchmark
-# against the conjugate of its natural envelope.
+# against the conjugate of its natural envelope; the spec is the tail bound.
 rng = np.random.default_rng(7)
 xs = (1.0 - rng.random(500000)) ** (-0.25)
 env = tabulate_envelope(
@@ -59,9 +59,7 @@ def empirical(x):
     return est, math.sqrt(est * (1.0 - est) / xs.size)
 
 
-report = dominance_check(
-    lambda x: tail_from_envelope(bench, x), empirical, [5.0, 10.0, 20.0, 50.0]
-)
+report = dominance_check(bench, empirical, [5.0, 10.0, 20.0, 50.0])
 print("\nempirical Pareto-power tail vs conjugate bound:")
 for row in report.rows:
     print(f"  x={row.x:<5} empirical {row.empirical:.2e}  bound {row.bound:.2e}"

@@ -63,7 +63,6 @@ from .calculus import (  # noqa: F401
 )
 from .tails import (  # noqa: F401
     ConjugateSpec,
-    ConjugateTail,
     TailDominanceReport,
     dominance_check,
     fit_tail_rescale,
@@ -85,7 +84,6 @@ from .polymodel import (  # noqa: F401
     Weibull,
     enumerate_indices,
     natural_envelope,
-    normalize_model,
     sample_Q,
     sample_R,
     sample_cells,

@@ -54,7 +54,7 @@ from .polymodel import (
     model_to_config,
     natural_envelope,
 )
-from .tails import ConjugateSpec, ConjugateTail, dominance_check, fit_tail_rescale
+from .tails import ConjugateSpec, dominance_check, fit_tail_rescale
 
 __all__ = [
     "NumericFailure",
@@ -169,7 +169,6 @@ class ExperimentPlan:
     p_grid: np.ndarray
     bound: Union[ZetaChain, MomentEnvelope]
     x_grid: Tuple[float, ...] = ()
-    tail_norm_factor: float = 1.0
     fit_tail_rescale: bool = True
     seed: int = 0
     b_sweep: int = 0
@@ -180,8 +179,6 @@ class ExperimentPlan:
 
     def __post_init__(self):
         _check_run_scalars(self.replications, self.seed, self.threads)
-        if not self.tail_norm_factor > 0:
-            raise ValueError(f"tail_norm_factor must be positive, got {self.tail_norm_factor}")
         if self.window is not None:
             object.__setattr__(self, "window", _window(self.model, self.window))
         grid = np.asarray(self.p_grid, dtype=float)
@@ -330,7 +327,7 @@ def _moment_rows(plan: ExperimentPlan, powers: np.ndarray, sizes: List[int], bou
     return rows
 
 
-def _tail_section(plan: ExperimentPlan, tails: np.ndarray, bound_tail: Optional[ConjugateTail]):
+def _tail_section(plan: ExperimentPlan, tails: np.ndarray, bound_tail: Optional[ConjugateSpec]):
     if bound_tail is None:
         return (), {}
     total = float(plan.replications)
@@ -348,7 +345,7 @@ def _run(plan: ExperimentPlan) -> VerificationReport:
     bound_env = plan.bound_envelope
     bound_tail = None  # built before the first draw, so a bound without a conjugate tail fails at once
     if plan.x_grid:
-        bound_tail = ConjugateTail(ConjugateSpec(bound_env, norm_factor=plan.tail_norm_factor))
+        bound_tail = ConjugateSpec(bound_env)
     sampler = Sampler(plan.model, plan.window)
     sweep = _sweep_tensors(sampler, plan.b_sweep, plan.seed) if plan.b_sweep else None
     batch = functools.partial(_batch_sums, sampler, plan.seed, ps=plan.p_grid, xs=plan.x_grid,
@@ -521,7 +518,7 @@ def _plan_types(model: PolynomialModel) -> dict:
         "p_grid": lambda v, w: _grid_from_config(v, model),
         "x_grid": lambda v, w: config_list(v, w, float),
         "bound": lambda v, w: _bound_from_config(v, model),
-        "tail_norm_factor": float, "fit_tail_rescale": bool, "seed": int, "b_sweep": int,
+        "fit_tail_rescale": bool, "seed": int, "b_sweep": int,
         "threads": int, "experiment": str,
         "window": lambda v, w: config_list(v, w, int, length=2),
     }

@@ -31,7 +31,7 @@ import numbers
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -74,7 +74,6 @@ __all__ = [
     "sample_Q",
     "sample_R",
     "sample_reverse_V",
-    "normalize_model",
     "natural_envelope",
     "cell_sigma",
     "stratified_moment",
@@ -97,32 +96,15 @@ MODULATOR_HIGH = 1.5
 _SYMMETRIZED_TAGS = (MARTINGALE, VECTOR_INDEPENDENT)
 
 
-def enumerate_indices(
-    d: int, n: int, last_fixed: Optional[int] = None
-) -> Iterator[IndexTuple]:
-    """Strictly increasing d-tuples in {1..n}, lexicographically.
-
-    With ``last_fixed = k`` only tuples ending at k are produced (the
-    boundary sub-family used in martingale-difference decompositions); for
-    d = 1 that family degenerates to the single tuple ``(k,)``.
-    """
+def enumerate_indices(d: int, n: int) -> Iterator[IndexTuple]:
+    """Strictly increasing d-tuples in {1..n}, lexicographically."""
     from itertools import combinations
 
     if d < 1:
         raise ValueError("tuple length must be >= 1")
     if d > n:
         raise ValueError(f"cannot draw {d} strictly increasing indices from 1..{n}")
-    if last_fixed is None:
-        yield from combinations(range(1, n + 1), d)
-        return
-    k = int(last_fixed)
-    if not (d <= k <= n):
-        raise ValueError(f"last index {k} incompatible with d={d}, n={n}")
-    if d == 1:
-        yield (k,)
-        return
-    for head in combinations(range(1, k), d - 1):
-        yield head + (k,)
+    yield from combinations(range(1, n + 1), d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,13 +164,6 @@ class CoefficientTensor:
 
     def norm2(self) -> float:
         return float(sum(v * v for v in self.entries.values()))
-
-    @property
-    def is_uniform(self) -> bool:
-        if len(self.entries) != comb(self.n, self.d):
-            return False
-        vals = list(self.entries.values())
-        return all(v == vals[0] for v in vals)
 
     def items_sorted(self) -> List[Tuple[IndexTuple, float]]:
         return sorted(self.entries.items())
@@ -893,6 +868,9 @@ def _term_products(source, rows, out, gather, coefs=None) -> np.ndarray:
     return out
 
 
+ENUMERATE_LIMIT = 1 << 24  # the most joint states Sampler.enumerate builds
+
+
 class Sampler:
     """Sampling and Q evaluation for one model, prepared once and shared by all batches.
 
@@ -1085,7 +1063,7 @@ class Sampler:
             _term_products(source, rows[:, lo:lo + block], out[lo:lo + block], gather)
         return out
 
-    def enumerate(self, limit: int = 1 << 24) -> Tuple[np.ndarray, np.ndarray]:
+    def enumerate(self) -> Tuple[np.ndarray, np.ndarray]:
         """Exact joint states of a finitely supported model as time-major factors.
 
         The sharing rule reduces the state space to one coordinate per
@@ -1116,8 +1094,8 @@ class Sampler:
             atom_vals.append(vals2)
             atom_probs.append(probs2)
             total *= len(vals2)
-            if total > limit:
-                raise ValueError(f"state space of size > {limit} is too large to enumerate")
+            if total > ENUMERATE_LIMIT:
+                raise ValueError(f"state space of size > {ENUMERATE_LIMIT} is too large to enumerate")
 
         # mixed-radix enumeration of all joint key states
         radices = [len(v) for v in atom_vals]
@@ -1190,33 +1168,6 @@ def sample_reverse_V(
     return np.concatenate(
         list(iter_q_batches(model, seed, replications, window=(n_start, N)))
     )
-
-
-def normalize_model(model: PolynomialModel) -> PolynomialModel:
-    """Standardise inputs and rescale coefficients so Q is unchanged.
-
-    Each coefficient is multiplied by the product of the per-slot scales that
-    standardisation divides out of the cells.  If the original tensor
-    satisfied the weighted normalisation ``sum b^2 prod sigma^2 = 1`` the new
-    tensor is exactly unit-norm, and the standardized model has unit variance
-    whenever the regime factorises.  Fails for inputs with zero or infinite
-    variance.
-    """
-    symmetrized = _is_symmetrized(model.regime.tag)
-    scales = []
-    new_dists = []
-    for dist in model.distributions:
-        _, old_scale = cell_loc_scale(dist, symmetrized)
-        std_dist = replace(dist, standardized=True)
-        _, new_scale = cell_loc_scale(std_dist, symmetrized)
-        scales.append(new_scale / old_scale)
-        new_dists.append(std_dist)
-    factor = 1.0
-    for s in scales:
-        factor *= s
-    new_entries = {I: b * factor for I, b in model.coefficients.entries.items()}
-    new_tensor = CoefficientTensor(model.coefficients.d, model.coefficients.n, new_entries)
-    return replace(model, coefficients=new_tensor, distributions=tuple(new_dists))
 
 
 # ---------------------------------------------------------------------------

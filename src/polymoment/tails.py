@@ -39,7 +39,6 @@ from .envelope import (
 
 __all__ = [
     "ConjugateSpec",
-    "ConjugateTail",
     "tail_from_envelope",
     "log_tail_from_envelope",
     "tail_inf_form",
@@ -74,8 +73,9 @@ def _default_conjugate_grid(env: MomentEnvelope, points: int = 129) -> np.ndarra
 
 
 @dataclass(frozen=True, eq=False)
-class ConjugateSpec:
-    """An envelope, a norm factor, and the exponent grid to optimise over.
+class ConjugateSpec(TailBound):
+    """The conjugate tail bound of an envelope: the envelope, a norm factor, and
+    the exponent grid to optimise over.  ``spec(x)`` is :func:`tail_from_envelope`.
 
     The norm factor is the moment norm multiplying the envelope: the tail of
     ``xi`` is bounded through ``k * nu`` where ``k = ||xi||`` in the
@@ -125,6 +125,22 @@ class ConjugateSpec:
             return math.inf
         return math.log(v) + self._log_k
 
+    @property
+    def pareto_index(self) -> float:
+        # the bound decays like x^(-p_max) with p_max the top of the grid
+        return float(self.p_grid[-1])
+
+    def _raw(self, x: float) -> float:
+        return tail_from_envelope(self, x)
+
+    def log_tail(self, s: float) -> float:
+        return min(0.0, _optimal_exponent(self, s)[1]) if s > 1.0 else 0.0
+
+    def kinks(self) -> Tuple[float, ...]:
+        # vacuous up to s = 1; over a table the bound bends where its lowest line changes
+        lines = self._lines
+        return (1.0, *(np.concatenate(lines.bends).tolist() if lines is not None else ()))
+
 
 class _NodeLines:
     """A table's ``c = p log(k nu(p))`` at its nodes ``ps`` strictly inside the
@@ -165,8 +181,9 @@ class _NodeLines:
         return p_best, best
 
 
-def _optimal_exponent(spec: ConjugateSpec, logx: float) -> float:
-    """Exponent minimising ``p (log k nu(p) - logx)`` over the supplied range.
+def _optimal_exponent(spec: ConjugateSpec, logx: float) -> Tuple[float, float]:
+    """The exponent minimising ``p (log k nu(p) - logx)`` over the supplied range,
+    and the objective there.
 
     A table's lowest node line (:class:`_NodeLines`); else a grid scan and golden
     polish (:func:`bracketed_min`), plus an expanding search above the grid when
@@ -174,7 +191,7 @@ def _optimal_exponent(spec: ConjugateSpec, logx: float) -> float:
     there (growth envelopes at large x).
     """
     if spec._lines is not None:
-        return spec._lines.minimum(logx)[0]
+        return spec._lines.minimum(logx)
     grid = spec.p_grid
     obj_grid = grid * (spec._log_knu - logx)
 
@@ -189,24 +206,19 @@ def _optimal_exponent(spec: ConjugateSpec, logx: float) -> float:
         # expand beyond the grid while the envelope stays finite and the
         # objective keeps improving
         step = max(grid[-1] - grid[max(grid.size - 2, 0)], 1.0)
-        p_lo = float(grid[-1])
-        p_hi = p_lo
-        while True:
-            cand = p_hi + step
-            if not sup.contains(cand):
-                break
-            v = objective(cand)
+        p_lo = p_hi = float(grid[-1])
+        while sup.contains(p_hi + step):
+            p_hi += step
+            v = objective(p_hi)
             if v >= v_best:
-                p_hi = cand
                 break
-            p_hi = cand
-            v_best = v
+            p_best, v_best = p_hi, v
             step *= 2.0
         if p_hi > p_lo:
             p_ref, v_ref = golden_min(objective, p_lo, p_hi, tol=1e-10 * p_hi)
             if v_ref < v_best:
                 p_best, v_best = p_ref, v_ref
-    return p_best
+    return p_best, v_best
 
 
 def _threshold(x: float) -> float:
@@ -224,15 +236,7 @@ def log_tail_from_envelope(spec: ConjugateSpec, x: float) -> float:
     :class:`EnvelopeDomainError`.
     """
     x = _threshold(x)
-    return _log_tail(spec, math.log(x)) if x > _E else 0.0
-
-
-def _log_tail(spec: ConjugateSpec, logx: float) -> float:
-    """:func:`log_tail_from_envelope` at ``x = e^logx > e``, also where x overflows a float."""
-    if spec._lines is not None:
-        return min(0.0, spec._lines.minimum(logx)[1])
-    p_star = _optimal_exponent(spec, logx)
-    return min(0.0, p_star * (spec.log_knu(p_star) - logx))
+    return min(0.0, _optimal_exponent(spec, math.log(x))[1]) if x > _E else 0.0
 
 
 def tail_from_envelope(spec: ConjugateSpec, x: float) -> float:
@@ -254,32 +258,9 @@ def tail_inf_form(spec: ConjugateSpec, x: float) -> float:
     x = _threshold(x)
     if x <= _E:
         return 1.0
-    p_star = _optimal_exponent(spec, math.log(x))
+    p_star = _optimal_exponent(spec, math.log(x))[0]
     knu = spec.norm_factor * spec.envelope(p_star)
     return min(1.0, (knu / x) ** p_star)
-
-
-@dataclass(frozen=True, eq=False)
-class ConjugateTail(TailBound):
-    """Tail bound evaluated on demand from a conjugate spec."""
-
-    spec: ConjugateSpec = None
-
-    @property
-    def pareto_index(self) -> float:
-        # the bound decays like x^(-p_max) with p_max the top of the grid
-        return float(self.spec.p_grid[-1])
-
-    def _raw(self, x: float) -> float:
-        return tail_from_envelope(self.spec, x)
-
-    def log_tail(self, s: float) -> float:
-        return _log_tail(self.spec, s) if s > 1.0 else 0.0
-
-    def kinks(self) -> Tuple[float, ...]:
-        # vacuous up to s = 1; over a table the bound bends where its lowest line changes
-        lines = self.spec._lines
-        return (1.0, *(np.concatenate(lines.bends).tolist() if lines is not None else ()))
 
 
 def regular_variation_tail(

@@ -16,7 +16,6 @@ import pytest
 
 from polymoment import (
     ConjugateSpec,
-    ConjugateTail,
     Tabulated,
     TabulatedTail,
     fit_tail_rescale,
@@ -123,9 +122,8 @@ def test_fitted_tails_keep_their_bits(monkeypatch, name):
     plan = scenario_plan(name)
 
     def fitted():
-        spec = ConjugateSpec(plan.bound_envelope, norm_factor=plan.tail_norm_factor)
-        tail = ConjugateTail(spec)
-        rescales = [fit_tail_rescale(tail, plan.x_grid[0], t) for t in (0.3, 1e-2, 1e-4)]
+        spec = ConjugateSpec(plan.bound_envelope)
+        rescales = [fit_tail_rescale(spec, plan.x_grid[0], t) for t in (0.3, 1e-2, 1e-4)]
         values = [tail_from_envelope(spec, x / c) for x in plan.x_grid for c in (1.0, *rescales)]
         return rescales + values
 

@@ -29,7 +29,6 @@ from polymoment import (
     enumerate_indices,
     natural_envelope,
     natural_moments_pareto_power,
-    normalize_model,
     run_experiment,
     sample_Q,
     sample_R,
@@ -74,27 +73,18 @@ class TestIndexEnumeration:
     def test_pairs(self):
         assert list(enumerate_indices(2, 3)) == [(1, 2), (1, 3), (2, 3)]
 
-    def test_last_fixed(self):
-        assert list(enumerate_indices(2, 3, last_fixed=3)) == [(1, 3), (2, 3)]
-
     def test_count(self):
         assert sum(1 for _ in enumerate_indices(3, 10)) == 120
-
-    def test_singleton_family(self):
-        assert list(enumerate_indices(1, 5, last_fixed=5)) == [(5,)]
 
     def test_errors(self):
         with pytest.raises(ValueError):
             list(enumerate_indices(4, 3))
-        with pytest.raises(ValueError):
-            list(enumerate_indices(2, 5, last_fixed=1))
 
 
 class TestCoefficientTensor:
     def test_uniform_is_normalized(self):
         t = CoefficientTensor.uniform(2, 5)
         assert t.normalized
-        assert t.is_uniform
         assert t.norm2() == pytest.approx(1.0)
 
     def test_single(self):
@@ -105,7 +95,6 @@ class TestCoefficientTensor:
     def test_random_unit(self):
         t = CoefficientTensor.random_unit(2, 6, np.random.default_rng(1))
         assert t.norm2() == pytest.approx(1.0)
-        assert not t.is_uniform
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -384,7 +373,7 @@ class TestReverseWindow:
         cfg = load_config(None, "pareto_reverse_window")
         model = model_from_config(cfg["model"])
         window = tuple(cfg["plan"]["window"])
-        assert window == (2, 6) and model.coefficients.is_uniform
+        assert window == (2, 6) and model.coefficients == CoefficientTensor.uniform(model.d, model.n)
         sampler = Sampler(model, window)
         assert sampler.coef is not None
         factors = sampler.factors(sampler.cells(0, 0, 4096))
@@ -443,46 +432,6 @@ class TestPolynomialModels:
             )
 
 
-class TestNormalize:
-    def test_idempotent_when_standardized(self):
-        model = common_model(
-            2, 4,
-            [ParetoPower(6.0, centered=True, standardized=True),
-             ParetoPower(8.0, centered=True, standardized=True)],
-        )
-        normed = normalize_model(model)
-        assert normed.coefficients.entries == model.coefficients.entries
-        q1 = sample_Q(model, 3, 20000)
-        q2 = sample_Q(normed, 3, 20000)
-        assert np.array_equal(q1, q2)
-
-    def test_sigma_two_rescales_coefficients(self):
-        # atoms +-2: sigma = 2 per cell; weighted-normalised tensor satisfies
-        # sum b^2 sigma^4 = 1, so b = uniform / 4
-        two = CustomQuantile(
-            quantile=lambda u: np.where(u <= 0.5, 2.0, -2.0),
-            atom_values=(-2.0, 2.0),
-            atom_probs=(0.5, 0.5),
-        )
-        base = CoefficientTensor.uniform(2, 4)
-        quarter = CoefficientTensor(2, 4, {k: v / 4.0 for k, v in base.entries.items()})
-        model = common_model(2, 4, [two, two], tensor=quarter)
-        normed = normalize_model(model)
-        # coefficients scaled by sigma^2 = 4, inputs halved
-        for key, val in normed.coefficients.entries.items():
-            assert val == pytest.approx(base.entries[key], rel=1e-12)
-        assert normed.coefficients.normalized
-        q1 = sample_Q(model, 8, 20000)
-        q2 = sample_Q(normed, 8, 20000)
-        assert np.allclose(q1, q2, rtol=1e-12)
-        assert q2.var() == pytest.approx(1.0, rel=0.05)
-
-    def test_infinite_variance_rejected(self):
-        model = common_model(1, 3, [ParetoPower(2.0)], tensor=CoefficientTensor.uniform(1, 3))
-        with pytest.raises(ValueError):
-            normalize_model(model)
-
-
 class TestNaturalEnvelope:
     def test_dominates_sampled_cells(self):
         for tag in ["common_independent", "martingale"]:
@@ -530,8 +479,10 @@ class TestSerialization:
         # every tensor whose entries are equal
         dists = [ParetoPower(6.0, centered=True), ParetoPower(8.0, centered=True)]
         ones = CoefficientTensor(2, 3, dict.fromkeys(enumerate_indices(2, 3), 1.0))
-        normed = normalize_model(common_model(2, 3, dists))
-        assert len(set(normed.coefficients.entries.values())) == 1
+        # all equal and unit-norm, but not the exact uniform 1/sqrt(3)
+        third = math.sqrt(1.0 / 3.0)
+        equal = CoefficientTensor(2, 3, dict.fromkeys(enumerate_indices(2, 3), third))
+        assert third != 1.0 / math.sqrt(3.0) and equal.normalized
         dist_cfg = [{"kind": "pareto_power", "r1": 6.0}, {"kind": "pareto_power", "r1": 8.0}]
 
         def from_cfg(coefficients, distributions=dist_cfg):
@@ -542,7 +493,7 @@ class TestSerialization:
         cases = {
             "uniform": (common_model(2, 3, dists), "uniform"),
             "ones": (common_model(2, 3, dists, tensor=ones), "entries"),
-            "normalized": (normed, "entries"),
+            "normalized": (common_model(2, 3, dists, tensor=equal), "entries"),
             "single_default": (from_cfg({"kind": "single"}), "single"),
             "single_index": (from_cfg({"kind": "single", "index": [2, 3]}), "single"),
             "entries": (from_cfg({"kind": "entries", "entries": [[[1, 2], 0.5], [[2, 3], -1.5]]}),

@@ -24,7 +24,6 @@ import pytest
 
 from polymoment import (
     ConjugateSpec,
-    ConjugateTail,
     DependenceRegime,
     GrowthConstant,
     Indicator,
@@ -53,6 +52,7 @@ from scalar_search import ref_golden_min, ref_otimes
 # ---------------------------------------------------------------------------
 
 def ref_optimal_exponent(spec, x):
+    """The optimal exponent and the objective there."""
     logx = math.log(x)
     grid = spec.p_grid
     obj_grid = grid * (spec._log_knu - logx)
@@ -84,28 +84,27 @@ def ref_optimal_exponent(spec, x):
                 p_hi = cand
                 break
             p_hi = cand
-            v_best = v
+            p_best, v_best = cand, v
             step *= 2.0
         if p_hi > p_lo:
             p_ref, v_ref = ref_golden_min(objective, p_lo, p_hi, tol=1e-10 * p_hi)
             if v_ref < v_best:
                 p_best, v_best = p_ref, v_ref
-    return p_best
+    return p_best, v_best
 
 
 def ref_tail_from_envelope(spec, x):
     x = float(x)
     if x <= math.e:
         return 1.0
-    p_star = ref_optimal_exponent(spec, x)
-    return math.exp(min(0.0, p_star * (spec.log_knu(p_star) - math.log(x))))
+    return math.exp(min(0.0, ref_optimal_exponent(spec, x)[1]))
 
 
 def ref_tail_inf_form(spec, x):
     x = float(x)
     if x <= math.e:
         return 1.0
-    p_star = ref_optimal_exponent(spec, x)
+    p_star = ref_optimal_exponent(spec, x)[0]
     knu = spec.norm_factor * spec.envelope(p_star)
     return min(1.0, (knu / x) ** p_star)
 
@@ -209,7 +208,49 @@ def test_growth_tail_at_large_threshold_expands_above_the_grid():
     spec = ConjugateSpec(PowerGrowth(growth=0.5, scale=1.3))
     obj_grid = spec.p_grid * (spec._log_knu - math.log(1e6))
     assert int(np.argmin(obj_grid)) == spec.p_grid.size - 1
-    assert ref_optimal_exponent(spec, 1e6) > 2.0 * spec.p_grid[-1]
+    assert ref_optimal_exponent(spec, 1e6)[0] > 2.0 * spec.p_grid[-1]
+
+
+@pytest.mark.parametrize("growth", [0.5, 0.25])
+def test_growth_log_tail_never_rises(growth):
+    # the expansion can stop at float overflow while the objective still
+    # improves; the optimum is then its last candidate, not the grid top
+    spec = ConjugateSpec(PowerGrowth(growth=growth))
+    prev = 0.0
+    for x in (10.0 ** (k / 4) for k in range(1233)):
+        got = log_tail_from_envelope(spec, x)
+        assert got <= prev, (x, got, prev)
+        prev = got
+
+
+def test_optimal_exponent_returns_the_objective_there():
+    specs = [*_tail_specs(), ConjugateSpec(PowerGrowth(growth=0.25))]
+    for spec in specs:
+        for s in [1.0, 2.3, 9.2, 13.8, 177.3, 355.0, 700.0]:
+            p, value = _optimal_exponent(spec, s)
+            log_knu = spec.log_knu(p)
+            want = math.inf if math.isinf(log_knu) else p * (log_knu - s)
+            assert same(value, want), (spec, s, p, value, want)
+    for spec in _table_specs().values():
+        for s in [1.0, 2.3, 9.2, 13.8, 177.3]:
+            p, value = _optimal_exponent(spec, s)
+            assert value == pytest.approx(p * (spec.log_knu(p) - s), rel=1e-13, abs=1e-13), (s, p)
+
+
+@pytest.mark.parametrize("kind", ["closed", "table", "scaled_table", "doob_table"])
+def test_spec_is_its_own_tail_bound(kind):
+    specs = _table_specs()
+    spec = {
+        "closed": lambda: _tail_specs()[1], "table": lambda: specs["natural_pareto"],
+        "scaled_table": lambda: specs["scaled_pareto"], "doob_table": lambda: specs["doob_pareto"],
+    }[kind]()
+    # the vacuous test is on x itself: log of the next float above e is 1.0
+    above_e = math.nextafter(math.e, math.inf)
+    assert math.log(above_e) == 1.0
+    for x in [0.0, 1.0, math.e, above_e, 5.0, 1e300, math.inf]:
+        assert same(spec(x), tail_from_envelope(spec, x)), (x, spec(x))
+    with pytest.raises(EnvelopeDomainError, match="NaN"):
+        spec(math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +305,7 @@ def test_table_tail_is_its_lowest_node_line(name):
         assert got == want or abs(got - want) <= 1e-15 * scale, (s, got, want)
         if math.isfinite(s) and s > 1.0:
             # never above the grid scan and golden polish it replaced
-            p = ref_optimal_exponent(spec, math.exp(s))
-            old = min(0.0, p * (spec.log_knu(p) - s))
+            old = min(0.0, ref_optimal_exponent(spec, math.exp(s))[1])
             assert got <= old + 1e-13 * abs(old), (s, got, old)
 
 
@@ -277,7 +317,7 @@ def test_doob_table_tail_is_at_most_a_dense_scan():
     q = np.concatenate([np.linspace(a, b, 10_000) for a, b in zip(ps[:-1], ps[1:])])
     inner = spec.envelope.inner
     q_log_knu = q * (np.log(inner.values_at(q) * (q / (q - 1.0))) + math.log(spec.norm_factor))
-    bends = ConjugateTail(spec).kinks()[1:]
+    bends = spec.kinks()[1:]
     middles = 0.5 * (np.array(bends[: ps.size - 1]) + np.array(bends[ps.size - 1:]))
     rng = np.random.default_rng(11)
     for s in [*rng.uniform(1.0, 60.0, 20), *middles[middles > 1.0]]:
@@ -286,7 +326,7 @@ def test_doob_table_tail_is_at_most_a_dense_scan():
         scale = np.abs(c).max() + ps[-1] * abs(s)
         assert got <= scan + 1e-15 * scale, (s, got, scan)
         # and attained: the optimal exponent's own Markov bound
-        p = _optimal_exponent(spec, s)
+        p = _optimal_exponent(spec, s)[0]
         assert abs(min(0.0, p * (spec.log_knu(p) - s)) - got) <= 1e-15 * scale, (s, p, got)
 
 
@@ -298,7 +338,7 @@ def test_table_tail_kinks_are_its_chord_slopes(name):
     if doob:  # each node's one-sided slopes: plus the slope of p log(p/(p-1))
         dh = np.log(ps / (ps - 1.0)) - 1.0 / (ps - 1.0)
         want = np.concatenate([want + dh[:-1], want + dh[1:]])
-    got = ConjugateTail(spec).kinks()
+    got = spec.kinks()
     assert got[0] == 1.0 and all(type(k) is float for k in got)
     np.testing.assert_allclose(got[1:], want, rtol=1e-9, atol=1e-9)
 
@@ -310,7 +350,7 @@ def test_table_tail_rejects_a_nan_threshold(name):
         with pytest.raises(EnvelopeDomainError, match="NaN"):
             form(spec, math.nan)
     with pytest.raises(ValueError, match="NaN"):
-        ConjugateTail(spec)(math.nan)
+        spec(math.nan)
 
 
 # ---------------------------------------------------------------------------
